@@ -1,45 +1,3 @@
-"""Build script: optionally compiles the kernel with mypyc.
-
-The default build is pure Python.  Set ``REPRO_BUILD_COMPILED=1`` (with
-mypy installed — the ``compiled`` extra pulls it in) to compile the
-hot-path kernel modules under ``src/repro/uarch/_kernel/`` into C
-extensions:
-
-    REPRO_BUILD_COMPILED=1 pip install -e .[compiled]
-
-The extensions shadow the ``.py`` sources under their canonical import
-names; ``repro.backend`` detects them at runtime and ``REPRO_BACKEND``
-(auto|python|compiled) picks which implementation runs.  Both paths are
-pinned byte-identical by the golden corpus and the dual-backend tests,
-so building the extension can only change speed, never results.
-"""
-
-import os
-
 from setuptools import setup
 
-KERNEL_SOURCES = [
-    "src/repro/uarch/_kernel/entry_pool.py",
-    "src/repro/uarch/_kernel/events.py",
-    "src/repro/uarch/_kernel/ffexec.py",
-]
-
-
-def _ext_modules():
-    if os.environ.get("REPRO_BUILD_COMPILED", "") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError as exc:  # fail loudly: an explicit request
-        raise SystemExit(
-            "REPRO_BUILD_COMPILED=1 but mypyc is not installed.  "
-            "Install the build dependency first (pip install mypy, or "
-            "pip install -e .[compiled]) and retry; unset "
-            "REPRO_BUILD_COMPILED for a pure-Python install."
-        ) from exc
-    # opt_level 3 is mypyc's release optimisation level; the kernel
-    # modules are annotation-complete, so no per-file flags are needed.
-    return mypycify(KERNEL_SOURCES, opt_level="3")
-
-
-setup(ext_modules=_ext_modules())
+setup()

@@ -369,3 +369,45 @@ class CompiledProgram:
             entry = HALT if inst.opcode.is_halt else compile_ff(inst)
             self._ff[pc] = entry
         return entry
+
+
+# -- the fast-forward dispatch loop ---------------------------------------------
+
+#: :func:`run_ff` outcomes: the instruction budget ran out first, a halt
+#: instruction was reached, or the PC left the program.
+FF_BUDGET = 0
+FF_HALT = 1
+FF_BAD_PC = 2
+
+#: Budget meaning "run to halt" (past any reachable instruction count).
+FF_UNBOUNDED = 1 << 62
+
+
+def run_ff(ff_entry: Callable[[int], Optional[object]], halt: object,
+           state, pc: int, budget: int,
+           execute_halt: bool) -> Tuple[int, int, int]:
+    """Drive fast-forward closures from *pc* for at most *budget* steps.
+
+    Every warm-up path — ``OutOfOrderCore.skip``, ``checkpoint.capture``
+    and the compiled lane of ``FunctionalSimulator.run`` — is this loop
+    over :meth:`CompiledProgram.ff_entry`.  Returns ``(pc, executed,
+    status)``.  On ``FF_HALT`` the PC sits on the halt instruction;
+    *execute_halt* decides whether the halt counts as executed (the
+    functional simulator's convention) or is left for the caller's
+    front end (the timing core's and checkpoint capture's convention).
+    On ``FF_BAD_PC`` the state reflects every instruction executed
+    before the PC went off the program; raising is the caller's job
+    (each site wants its own message).
+    """
+    executed = 0
+    while executed < budget:
+        fn = ff_entry(pc)
+        if fn is None:
+            return (pc, executed, FF_BAD_PC)
+        if fn is halt:
+            if execute_halt:
+                executed += 1
+            return (pc, executed, FF_HALT)
+        pc = fn(state)
+        executed += 1
+    return (pc, executed, FF_BUDGET)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
-from ..isa.opcodes import s32, u32
+from ..isa.opcodes import MASK32, s32, u32
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -46,6 +46,14 @@ class Memory:
     # -- sized accessors (little-endian) ---------------------------------------
 
     def read(self, address: int, nbytes: int, signed: bool = False) -> int:
+        start = address & PAGE_MASK
+        if start + nbytes <= PAGE_SIZE:
+            # Within one page: one slice instead of a call per byte.
+            page = self._pages.get(address >> PAGE_SHIFT)
+            if page is None:
+                return 0
+            return int.from_bytes(page[start:start + nbytes], "little",
+                                  signed=signed) & MASK32
         value = 0
         for offset in range(nbytes):
             value |= self.read_byte(address + offset) << (8 * offset)
@@ -57,6 +65,16 @@ class Memory:
 
     def write(self, address: int, value: int, nbytes: int) -> None:
         value = u32(value)
+        start = address & PAGE_MASK
+        if start + nbytes <= PAGE_SIZE:
+            # Within one page: one slice store instead of a call per byte.
+            page_number = address >> PAGE_SHIFT
+            page = self._pages.get(page_number)
+            if page is None:
+                page = self._pages[page_number] = bytearray(PAGE_SIZE)
+            page[start:start + nbytes] = (
+                value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+            return
         for offset in range(nbytes):
             self.write_byte(address + offset, (value >> (8 * offset)) & 0xFF)
 

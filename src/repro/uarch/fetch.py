@@ -146,11 +146,5 @@ class FetchUnit:
             return prediction, prediction.target, True
         return None, op.next_pc, False
 
-    def pop(self) -> FetchedInst:
-        return self.queue.popleft()
-
-    def peek(self) -> Optional[FetchedInst]:
-        return self.queue[0] if self.queue else None
-
     def __len__(self) -> int:
         return len(self.queue)

@@ -19,7 +19,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import assemble
-from repro.functional.simulator import FunctionalSimulator, SimulationError
+from repro.functional.compiled import (
+    FF_BAD_PC,
+    FF_BUDGET,
+    FF_HALT,
+    FF_UNBOUNDED,
+    HALT,
+    CompiledProgram,
+    run_ff,
+)
+from repro.functional.simulator import (
+    ArchState,
+    FunctionalSimulator,
+    SimulationError,
+)
 from repro.workloads.random_program import random_program
 
 MAX_STEPS = 100_000  # far above any generated program's runtime
@@ -84,3 +97,41 @@ def test_bad_pc_raises_in_both_lanes():
         sim.state.pc = bad_pc
         with pytest.raises(SimulationError):
             sim.step()
+
+
+def test_run_ff_statuses_and_state():
+    """The shared fast-forward loop's three outcomes and both halt
+    conventions (counted by the functional simulator, left for the
+    front end by the timing core and checkpoint capture)."""
+    program = assemble("""
+    main: li $t0, 3
+    loop: addi $t0, $t0, -1
+          bnez $t0, loop
+          halt
+    """)
+    compiled = CompiledProgram(program)
+
+    # Budget exhausted strictly before the halt.
+    state = ArchState(program)
+    pc, executed, status = run_ff(
+        compiled.ff_entry, HALT, state, state.pc, 2, False)
+    assert (executed, status) == (2, FF_BUDGET)
+
+    # Run into the halt; the PC parks on it either way, and
+    # execute_halt picks the caller's counting convention.
+    state = ArchState(program)
+    pc, executed, status = run_ff(
+        compiled.ff_entry, HALT, state, state.pc, FF_UNBOUNDED, False)
+    assert status == FF_HALT
+    assert executed == 7  # li + 3x(addi, bnez)
+    halt_pc = pc
+    state = ArchState(program)
+    assert run_ff(compiled.ff_entry, HALT, state, state.pc,
+                  FF_UNBOUNDED, True) == (halt_pc, 8, FF_HALT)
+
+    # A PC with no instruction reports FF_BAD_PC (raising is the
+    # caller's job).
+    state = ArchState(program)
+    _, executed, status = run_ff(
+        lambda _pc: None, HALT, state, state.pc, 5, False)
+    assert (executed, status) == (0, FF_BAD_PC)

@@ -6,6 +6,7 @@ import json
 from repro.telemetry.manifest import (
     MANIFEST_FORMAT,
     config_digest,
+    environment_fields,
     load_manifests,
     run_manifest,
     sweep_manifest,
@@ -51,16 +52,16 @@ class TestRunManifest:
         for field in ("host", "python", "package_version", "created_unix"):
             assert field in manifest
 
-    def test_backend_recorded(self):
-        """Provenance pins which kernel backend produced the result."""
-        from repro.backend import get_backend
+    def test_environment_block(self):
+        """The host/software identity block is exactly these fields; the
+        simulator has one implementation, so no backend is recorded."""
+        assert set(environment_fields()) == {
+            "host", "platform", "python", "package_version",
+            "git_describe", "user", "pid"}
         manifest = sample_run_manifest()
-        backend = get_backend()
-        assert manifest["backend"] == backend.name
-        assert manifest["backend"] in ("python", "compiled")
-        assert manifest["backend_extension"] == backend.extension_version
-        if manifest["backend"] == "python":
-            assert manifest["backend_extension"] == ""
+        for field in environment_fields():
+            assert field in manifest
+        assert "backend" not in manifest
 
     def test_stats_block_optional(self):
         assert "stats" not in sample_run_manifest()

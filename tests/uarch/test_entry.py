@@ -7,11 +7,20 @@ from repro.uarch.config import base_config
 from repro.uarch.core import OutOfOrderCore
 
 
-def committed(source):
+def committed(source, linked=None):
+    """Committed records in order.  Commit drops a record's producer
+    edges right after the observer runs, so pass *linked* (a dict) to
+    collect each record's producer registers as the observer saw them."""
     config = dataclasses.replace(base_config(), verify_commits=True)
     core = OutOfOrderCore(config, assemble(source))
     ops = []
-    core.on_commit = lambda op, cycle: ops.append(op)
+
+    def hook(op, cycle):
+        ops.append(op)
+        if linked is not None:
+            linked[op.seq] = set(op.producers)
+
+    core.on_commit = hook
     core.run(max_cycles=50_000)
     return ops
 
@@ -36,13 +45,14 @@ class TestHiLoDataflow:
         assert mult.final_value_for_reg(REG_HI) == 0
 
     def test_consumers_wired_to_right_halves(self):
-        ops = committed(MULT_PROGRAM)
+        linked = {}
+        ops = committed(MULT_PROGRAM, linked)
         mfhi = next(op for op in ops if op.inst.opcode.name == "mfhi")
         mflo = next(op for op in ops if op.inst.opcode.name == "mflo")
         assert mfhi.outcome.result == 0
         assert mflo.outcome.result == 42
-        assert REG_HI in mfhi.producers
-        assert REG_LO in mflo.producers
+        assert REG_HI in linked[mfhi.seq]
+        assert REG_LO in linked[mflo.seq]
 
     def test_hi_ready_tracked_separately(self):
         ops = committed(MULT_PROGRAM)
