@@ -11,17 +11,22 @@ golden corpus.
 Layout:
 
 * :mod:`repro.analysis.core` — the framework: :class:`Finding`,
-  :class:`Rule`, per-file :class:`ModuleInfo` with parsed waivers, and
-  the :class:`Analyzer` driver;
+  :class:`Rule`, per-file :class:`ModuleInfo` and the one
+  ``# repro-lint:`` comment grammar (waivers and role annotations);
+* :mod:`repro.analysis.analyzer` — the :class:`Analyzer` driver: one
+  load, every rule family, one waiver pass;
 * :mod:`repro.analysis.rules` — the rule catalogue (see
   ``docs/static-analysis.md``);
+* :mod:`repro.analysis.flow` — the interprocedural flow engine behind
+  the four ``flow-*`` rules;
 * :mod:`repro.analysis.tables` — the cross-table exhaustiveness checker
   (opcode table vs assembler vs compiled semantics vs FU pools);
-* :mod:`repro.analysis.reporters` — stable text/JSON output;
+* :mod:`repro.analysis.reporters` — stable text/JSON/SARIF output;
 * :mod:`repro.analysis.cli` — the ``repro-lint`` console entry point.
 """
 
-from .core import Analyzer, Finding, ModuleInfo, Rule, Severity
+from .analyzer import Analyzer
+from .core import Finding, ModuleInfo, Rule, Severity
 from .rules import default_rules
 from .tables import check_tables
 

@@ -3,6 +3,8 @@
 Exit codes: 0 when no unwaived error-severity findings remain, 1
 otherwise, 2 for usage errors.  CI runs ``repro-lint src/`` as a
 blocking job; the pre-commit hook runs the same command locally.
+``--callgraph`` dumps the flow engine's resolved call graph instead of
+analyzing.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core import Analyzer, Rule
+from .analyzer import Analyzer
+from .core import Rule
+from .flow.callgraph import build_callgraph, render_callgraph
+from .flow.project import Project
 from .reporters import render_json, render_sarif, render_text
 from .rules import default_rules
 
@@ -34,6 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include waived findings in text output")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
+    parser.add_argument("--callgraph", action="store_true",
+                        help="dump the resolved call graph instead of "
+                             "analyzing")
     return parser
 
 
@@ -68,6 +76,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in paths:
         if not path.exists():
             parser.error(f"no such path: {path}")
+
+    if args.callgraph:
+        project = Project.load(paths)
+        for line in render_callgraph(build_callgraph(project)):
+            sys.stdout.write(line + "\n")
+        return 0
 
     report = Analyzer(rules).run(paths, select=select)
     if args.format == "json":

@@ -1,23 +1,28 @@
-"""The analysis framework: findings, rules, waivers and the driver.
+"""The analysis framework: findings, rules and the comment grammar.
 
 Everything here is deliberately self-contained (``ast`` + ``tokenize``
-from the standard library only) so the linter can run in CI before any
-dependency is installed, and deterministic: file discovery, finding
+from the standard library only) so the analysis can run in CI before
+any dependency is installed, and deterministic: file discovery, finding
 order and reporter output are all sorted, so two runs over the same tree
-produce byte-identical reports — the linter holds itself to the
+produce byte-identical reports — the analysis holds itself to the
 invariant it enforces.
 
-Waiver syntax (checked by :func:`parse_waivers`):
+One comment tag, ``# repro-lint:``, carries both kinds of in-source
+declaration (parsed by :func:`parse_comments`):
 
-* ``# repro-lint: waive[rule-id] -- justification`` — waives *rule-id*
-  on the line the comment sits on; a comment alone on its line waives
-  the following line instead.
-* ``# repro-lint: waive-file[rule-id] -- justification`` — waives
-  *rule-id* for the whole file.
+* ``waive[rule-id] -- justification`` waives *rule-id* on the line the
+  comment sits on; a comment alone on its line waives the following
+  line instead.  ``waive-file[rule-id] -- justification`` waives it for
+  the whole file.  Waivers apply to every rule family alike.
+* ``sanitizer[labels]``, ``trusted-write``, ``guard`` and
+  ``sink[rule-ids]``, each followed by ``-- justification``, are role
+  annotations for the flow engine (see :mod:`repro.analysis.flow`),
+  placed on a ``def``/``class``/decorator line or alone above it.
 
-The justification is mandatory: a waiver without one is itself reported
-(``bad-waiver``), and a waiver that never matched a finding is reported
-as ``unused-waiver`` so stale exemptions cannot accumulate.
+The justification is mandatory: a comment without one is itself
+reported (``bad-waiver``/``bad-annotation``), and a waiver that never
+matched a finding is reported as ``unused-waiver`` so stale exemptions
+cannot accumulate.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class Severity(enum.Enum):
@@ -66,28 +71,27 @@ class Finding:
         }
 
 
-#: Comment tag of the per-file tier.  The flow tier reuses the same
-#: grammar under its own tag, so each tier only sees — and only
-#: reports hygiene findings for — its own exemption comments.
-DEFAULT_WAIVER_TAG = "repro-lint"
-
-
-def _waive_re(tag: str) -> "re.Pattern[str]":
-    return re.compile(
-        rf"#\s*{re.escape(tag)}:\s*(waive|waive-file)\[([A-Za-z0-9_-]+)\]"
-        r"(?:\s*--\s*(.*\S))?")
-
-
-_WAIVE_RES: Dict[str, "re.Pattern[str]"] = {}
+_COMMENT_RE = re.compile(
+    r"#\s*repro-lint:\s*"
+    r"(waive-file|waive|sanitizer|trusted-write|guard|sink)"
+    r"(?:\[([A-Za-z0-9_,.\s*-]+)\])?"
+    r"(?:\s*--\s*(.*\S))?")
+_RULE_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+#: Any other ``# repro-<tag>:`` comment (a typo, or the flow engine's
+#: retired tag) must be rewritten, not silently ignored: a dropped
+#: ``sink[...]`` annotation would loosen the check.
+_OTHER_TAG_RE = re.compile(r"#\s*(repro-(?!lint:)[A-Za-z0-9_-]+):")
 
 
 @dataclass
 class Waivers:
-    """Parsed waiver comments of one file."""
+    """Parsed waiver comments of one file, plus the grammar errors of
+    every ``# repro-lint:`` comment in it."""
 
     line: Dict[int, Dict[str, str]] = field(default_factory=dict)
     file: Dict[str, str] = field(default_factory=dict)
-    errors: List[Tuple[int, str]] = field(default_factory=list)
+    #: (line, hygiene rule id, message)
+    errors: List[Tuple[int, str, str]] = field(default_factory=list)
     used: Set[Tuple[int, str]] = field(default_factory=set)  # (line, rule); 0 = file level
 
     def lookup(self, line: int, rule: str) -> Optional[str]:
@@ -110,51 +114,89 @@ class Waivers:
                     yield line, rule
 
 
-def parse_waivers(source: str, tag: str = DEFAULT_WAIVER_TAG) -> Waivers:
-    """Extract *tag*-prefixed waiver comments from *source*
-    (tokenize-accurate).
+@dataclass(frozen=True)
+class FlowAnnotation:
+    """One parsed ``# repro-lint: <role>[args] -- reason`` role
+    annotation, read by the flow engine's catalogue."""
 
-    For the default ``repro-lint`` tag any comment mentioning the tag
-    that fails the grammar is an error; for other tags only comments
-    that look like waivers (mention both the tag and ``waive``) are,
-    because those tags may carry further comment roles of their own
-    (the flow tier's ``sanitizer``/``guard``/``sink`` annotations).
+    role: str
+    args: Tuple[str, ...]
+    reason: str
+    line: int
+
+
+def parse_comments(
+        source: str) -> Tuple[Waivers, Dict[int, FlowAnnotation]]:
+    """Every ``# repro-lint:`` comment of *source* in one tokenize pass:
+    the waivers, and the role annotations keyed by the line they attach
+    to.  Grammar errors land in ``Waivers.errors``.
     """
-    if tag not in _WAIVE_RES:
-        _WAIVE_RES[tag] = _waive_re(tag)
-    waive_re = _WAIVE_RES[tag]
     waivers = Waivers()
+    annotations: Dict[int, FlowAnnotation] = {}
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
-        return waivers
+        return waivers, annotations
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
-        match = waive_re.search(token.string)
+        line = token.start[0]
+        match = _COMMENT_RE.search(token.string)
         if match is None:
-            mentioned = tag in token.string and (
-                tag == DEFAULT_WAIVER_TAG or "waive" in token.string)
-            if mentioned:
+            other = _OTHER_TAG_RE.search(token.string)
+            if other is not None:
                 waivers.errors.append(
-                    (token.start[0], f"unparseable {tag} comment"))
+                    (line, "bad-annotation",
+                     f"unknown comment tag '# {other.group(1)}:'; the "
+                     f"one tag is '# repro-lint:'"))
+            elif "repro-lint" in token.string:
+                waivers.errors.append(
+                    (line, "bad-waiver", "unparseable repro-lint comment"))
             continue
-        kind, rule, reason = match.groups()
-        if not reason:
-            waivers.errors.append(
-                (token.start[0],
-                 f"waiver for [{rule}] missing a '-- justification'"))
+        role, rawargs, reason = match.groups()
+        args = tuple(a.strip() for a in (rawargs or "").split(",")
+                     if a.strip())
+        # A comment alone on its line applies to the *next* line (the
+        # statement or definition it annotates); a trailing comment to
+        # its own.
+        target = line
+        if token.line[:token.start[1]].strip() == "":
+            target += 1
+        if role in ("waive", "waive-file"):
+            error = _waiver_error(role, args, reason)
+            if error is not None:
+                waivers.errors.append((line, "bad-waiver", error))
+            elif role == "waive-file":
+                waivers.file[args[0]] = reason
+            else:
+                waivers.line.setdefault(target, {})[args[0]] = reason
             continue
-        if kind == "waive-file":
-            waivers.file[rule] = reason
+        error = _annotation_error(role, args, reason)
+        if error is not None:
+            waivers.errors.append((line, "bad-annotation", error))
         else:
-            # A comment alone on its line waives the *next* line (the
-            # statement it annotates); a trailing comment waives its own.
-            line = token.start[0]
-            if token.line[:token.start[1]].strip() == "":
-                line += 1
-            waivers.line.setdefault(line, {})[rule] = reason
-    return waivers
+            annotations[target] = FlowAnnotation(role, args, reason, line)
+    return waivers, annotations
+
+
+def _waiver_error(role: str, args: Tuple[str, ...],
+                  reason: Optional[str]) -> Optional[str]:
+    if len(args) != 1 or not _RULE_ID_RE.fullmatch(args[0]):
+        return f"{role} needs exactly one rule id: {role}[rule-id]"
+    if not reason:
+        return f"waiver for [{args[0]}] missing a '-- justification'"
+    return None
+
+
+def _annotation_error(role: str, args: Tuple[str, ...],
+                      reason: Optional[str]) -> Optional[str]:
+    if not reason:
+        return f"{role} annotation missing a '-- justification'"
+    if role == "sanitizer" and not args:
+        return "sanitizer annotation needs labels: sanitizer[...]"
+    if role == "sink" and not args:
+        return "sink annotation needs rule ids: sink[...]"
+    return None
 
 
 @dataclass
@@ -166,6 +208,7 @@ class ModuleInfo:
     source: str
     tree: ast.Module
     waivers: Waivers
+    annotations: Dict[int, FlowAnnotation]
 
     @property
     def package(self) -> Tuple[str, ...]:
@@ -227,6 +270,22 @@ class ProjectRule(Rule):
         raise NotImplementedError
 
 
+class FlowRule(Rule):
+    """A catalogue entry for one flow-engine contract.
+
+    The engine computes every taint fact in one shared run and each
+    flow rule selects the findings whose contract it names, so
+    ``check`` is a no-op here too.
+    """
+
+    def __init__(self, rule_id: str, description: str) -> None:
+        self.id = rule_id
+        self.description = description
+
+    def check(self, module: ModuleInfo) -> Iterable[Finding]:
+        return ()
+
+
 @dataclass
 class Report:
     """The outcome of one analyzer run."""
@@ -268,94 +327,3 @@ def iter_python_files(path: Path) -> Iterator[Path]:
         if any(p.startswith(".") or p == "__pycache__" for p in parts):
             continue
         yield candidate
-
-
-class Analyzer:
-    """Runs a rule set over source trees and applies waivers."""
-
-    def __init__(self, rules: Sequence[Rule]) -> None:
-        ids = [rule.id for rule in rules]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate rule ids in {ids}")
-        self.rules: List[Rule] = list(rules)
-
-    def load_module(self, path: Path, root: Path) -> Optional[ModuleInfo]:
-        """Parse one file; ``None`` (never an exception) on bad syntax —
-        a syntax error is reported as a finding by :meth:`run`."""
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
-        relpath = path.relative_to(root).as_posix()
-        return ModuleInfo(path, relpath, source, tree,
-                          parse_waivers(source))
-
-    def run(self, paths: Sequence[Path],
-            select: Optional[Sequence[str]] = None) -> Report:
-        """Analyze every Python file under *paths*.
-
-        *select* restricts to the named rule ids (project rules
-        included).  Findings come back sorted and deduplicated, with
-        waivers applied and waiver hygiene (bad/unused) reported.
-        """
-        rules = [rule for rule in self.rules
-                 if select is None or rule.id in select]
-        module_rules = [r for r in rules
-                        if not isinstance(r, ProjectRule)]
-        project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-
-        findings: List[Finding] = []
-        files_checked = 0
-        for top in paths:
-            top = Path(top)
-            root = top if top.is_dir() else top.parent
-            for path in iter_python_files(top):
-                files_checked += 1
-                relpath = path.relative_to(root).as_posix()
-                try:
-                    module = self.load_module(path, root)
-                except SyntaxError as exc:
-                    findings.append(Finding(
-                        relpath, exc.lineno or 0, "syntax-error",
-                        f"file does not parse: {exc.msg}"))
-                    continue
-                assert module is not None
-                findings.extend(
-                    self._check_module(module, module_rules))
-            for rule in project_rules:
-                project_root = _project_root(top)
-                if project_root is not None:
-                    findings.extend(rule.check_project(project_root))
-
-        unique = sorted(set(findings), key=Finding.sort_key)
-        return Report(unique, files_checked, [r.id for r in rules])
-
-    def _check_module(self, module: ModuleInfo,
-                      rules: Sequence[Rule]) -> Iterator[Finding]:
-        raw: List[Finding] = []
-        for rule in rules:
-            raw.extend(rule.check(module))
-        for found in raw:
-            reason = module.waivers.lookup(found.line, found.rule)
-            if reason is not None:
-                yield Finding(found.path, found.line, found.rule,
-                              found.message, found.severity,
-                              waived=True, waive_reason=reason)
-            else:
-                yield found
-        for line, message in module.waivers.errors:
-            yield Finding(module.relpath, line, "bad-waiver", message)
-        for line, rule_id in module.waivers.unused():
-            yield Finding(
-                module.relpath, line, "unused-waiver",
-                f"waiver for [{rule_id}] matched no finding",
-                Severity.WARNING)
-
-
-def _project_root(path: Path) -> Optional[Path]:
-    """The directory containing the ``repro`` package, if *path* holds
-    one (the anchor the cross-table checker resolves files against)."""
-    path = path if path.is_dir() else path.parent
-    if (path / "repro" / "isa" / "opcodes.py").is_file():
-        return path
-    if path.name == "repro" and (path / "isa" / "opcodes.py").is_file():
-        return path.parent
-    return None

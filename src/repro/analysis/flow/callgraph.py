@@ -6,7 +6,7 @@ constructor-typed receivers (``obj = Klass(); obj.method()``) — into
 ``caller -> callee`` edges between project qualnames, with constructor
 calls recorded against the class qualname itself.  The engine discovers
 its own (richer, taint-typed) edges during interpretation; this module
-exists for inspection: the golden test pins it, and ``repro-flow
+exists for inspection: the golden test pins it, and ``repro-lint
 --callgraph`` dumps it.
 """
 

@@ -10,8 +10,8 @@ open handles, live sinks — and must not cross a fork), ``telobj`` (a
 live telemetry object) and ``teldata`` (a value read out of one).
 
 The static tables below name the standard-library facts; everything
-repo-specific is declared in the source itself with ``# repro-flow:``
-role annotations (see ``project.py``) and merged by
+repo-specific is declared in the source itself with ``# repro-lint:``
+role annotations (grammar in ``repro.analysis.core``) and merged by
 :func:`build_catalog`, so the catalogue never goes stale against a
 rename the annotations would catch.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..core import Finding, Severity
+from ..core import Finding, FlowRule, Severity
 from .lattice import TaintSet
 from .project import Project
 
@@ -125,11 +125,40 @@ RESULT_LABELS_BY_NAME: Dict[str, TaintSet] = {
     "enable_telemetry": frozenset({TELOBJ, PROCLOCAL}),
 }
 
-#: Model packages (mirrors the tier-1 list): ``self.attr = <teldata>``
-#: inside them is a telemetry-purity violation, ``<nondet>`` a
-#: cache-key-purity one.
+#: Model packages (mirrors the per-file rules' list): ``self.attr =
+#: <teldata>`` inside them is a telemetry-purity violation.  A
+#: ``<nondet>`` store is a cache-key-purity one only into a ``stats``
+#: chain; ``self.attr = time.time()`` elsewhere in a model package is
+#: left to the per-file ``no-wallclock``/``no-unseeded-random`` rules.
 MODEL_PACKAGES: Tuple[str, ...] = (
     "uarch", "functional", "isa", "vp", "reuse", "redundancy")
+
+
+def flow_rules() -> List[FlowRule]:
+    """The four flow contracts as rule-catalogue entries."""
+    return [
+        FlowRule(
+            RULE_CACHE_KEY,
+            "nondeterministic values (wallclock/env/rusage/random/"
+            "hash()/host identity) must not reach cache keys, "
+            "canonical digests, golden-stats counters or checkpoint "
+            "payloads unless sanitized"),
+        FlowRule(
+            RULE_LOCK,
+            "writes reaching shared-store paths must go through "
+            "atomic_write_text/bytes or append_line, or run under "
+            "FileLock — checked through helper indirection"),
+        FlowRule(
+            RULE_FORK,
+            "objects capturing locks, open file handles or live "
+            "telemetry sinks must not flow into worker-process "
+            "submission (run_many/Pool)"),
+        FlowRule(
+            RULE_TELEMETRY,
+            "data flows into telemetry sinks/spans/progress, never "
+            "back: no telemetry-derived value may be stored into "
+            "simulator state or stats"),
+    ]
 
 
 @dataclass(frozen=True)
@@ -203,18 +232,14 @@ class Catalog:
 
 
 def build_catalog(project: Project) -> Tuple[Catalog, List[Finding]]:
-    """Merge the ``# repro-flow:`` role annotations of *project* into
-    the static catalogue; malformed roles become findings."""
+    """Merge the ``# repro-lint:`` role annotations of *project* into
+    the static catalogue; misapplied roles become findings."""
     catalog = Catalog()
     findings: List[Finding] = []
 
     def bad(relpath: str, line: int, message: str) -> None:
         findings.append(Finding(relpath, line, "bad-annotation",
                                 message, Severity.ERROR))
-
-    for relpath, errors in sorted(project.annotation_errors.items()):
-        for line, message in errors:
-            bad(relpath, line, message)
 
     for qual in sorted(project.functions):
         fn = project.functions[qual]

@@ -1,107 +1,31 @@
 """The whole-program model the flow engine analyzes.
 
 ``Project`` loads every module under the scanned roots into the same
-``ModuleInfo`` the per-file tier uses, then builds what a whole-program
+``ModuleInfo`` the per-file rules read, then builds what a whole-program
 analysis needs on top: relative-import-aware name resolution, an index
 of every function and class with a stable dotted qualname
 (``repro.telemetry.sink.TelemetrySink.write_trace``), lightweight type
 inference (constructor assignments, annotations, ``self.attr``
 element types) so method calls resolve to their defining class, and the
-``# repro-flow:`` role annotations that let source files declare
-sanitizers, trusted writers, guard classes and extra sinks.
-
-Annotation syntax (comment on the ``def``/``class`` line, a decorator
-line, or alone on the line above)::
-
-    # repro-flow: sanitizer[wallclock,env] -- quantized to a content id
-    # repro-flow: trusted-write -- the one sanctioned atomic write path
-    # repro-flow: guard -- holding this lock satisfies lock-discipline
-    # repro-flow: sink[flow-cache-key-purity] -- digest input surface
-
-The justification after ``--`` is mandatory, exactly as for waivers.
+``# repro-lint:`` role annotations (grammar in :mod:`repro.analysis.core`)
+that let source files declare sanitizers, trusted writers, guard
+classes and extra sinks.  ``Project.load`` is the analyzer's one
+loader: the per-file rules read the same modules.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
 
-from ..core import ModuleInfo, Waivers, iter_python_files, parse_waivers
-
-#: Comment tag of this tier; exemptions use the tier-1 grammar under
-#: this tag, role annotations the grammar documented above.
-FLOW_TAG = "repro-flow"
-
-ANNOTATION_ROLES = ("sanitizer", "trusted-write", "guard", "sink")
-
-_ANNOT_RE = re.compile(
-    r"#\s*repro-flow:\s*(sanitizer|trusted-write|guard|sink)"
-    r"(?:\[([A-Za-z0-9_,.\s*-]+)\])?"
-    r"(?:\s*--\s*(.*\S))?")
+from ..core import (FlowAnnotation, ModuleInfo, iter_python_files,
+                    parse_comments)
 
 FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-@dataclass(frozen=True)
-class FlowAnnotation:
-    """One parsed ``# repro-flow: <role>[args] -- reason`` comment."""
-
-    role: str
-    args: Tuple[str, ...]
-    reason: str
-    line: int
-
-
-def parse_annotations(
-        source: str) -> Tuple[Dict[int, FlowAnnotation],
-                              List[Tuple[int, str]]]:
-    """Role annotations of one file, keyed by the line they attach to
-    (their own line, or the next when alone on a line — the same
-    placement rule as waivers), plus grammar errors."""
-    annotations: Dict[int, FlowAnnotation] = {}
-    errors: List[Tuple[int, str]] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return annotations, errors
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _ANNOT_RE.search(token.string)
-        if match is None:
-            # Waiver comments belong to parse_waivers; anything else
-            # mentioning the tag is a typo that must not pass silently.
-            if FLOW_TAG in token.string and "waive" not in token.string:
-                errors.append(
-                    (token.start[0], f"unparseable {FLOW_TAG} comment"))
-            continue
-        role, rawargs, reason = match.groups()
-        line = token.start[0]
-        if not reason:
-            errors.append(
-                (line, f"{role} annotation missing a '-- justification'"))
-            continue
-        args = tuple(a.strip() for a in (rawargs or "").split(",")
-                     if a.strip())
-        if role == "sanitizer" and not args:
-            errors.append(
-                (line, "sanitizer annotation needs labels: sanitizer[...]"))
-            continue
-        if role == "sink" and not args:
-            errors.append(
-                (line, "sink annotation needs rule ids: sink[...]"))
-            continue
-        target = line
-        if token.line[:token.start[1]].strip() == "":
-            target = line + 1
-        annotations[target] = FlowAnnotation(role, args, reason, line)
-    return annotations, errors
 
 
 @dataclass
@@ -181,8 +105,6 @@ class Project:
         self.functions: Dict[str, FunctionInfo] = {}  # qualname ->
         self.classes: Dict[str, ClassInfo] = {}  # qualname ->
         self.imports: Dict[str, Dict[str, str]] = {}  # module name ->
-        self.flow_waivers: Dict[str, Waivers] = {}  # relpath ->
-        self.annotation_errors: Dict[str, List[Tuple[int, str]]] = {}
         self.syntax_errors: List[Tuple[str, int, str]] = []
 
     # ------------------------------------------------------------------
@@ -207,17 +129,13 @@ class Project:
                          f"file does not parse: {exc.msg}"))
                     continue
                 module = ModuleInfo(path, relpath, source, tree,
-                                    parse_waivers(source, tag=FLOW_TAG))
+                                    *parse_comments(source))
                 project._index_module(module)
         project._link()
         return project
 
     def _index_module(self, module: ModuleInfo) -> None:
         self.modules[module.relpath] = module
-        self.flow_waivers[module.relpath] = module.waivers
-        annotations, errors = parse_annotations(module.source)
-        if errors:
-            self.annotation_errors[module.relpath] = errors
         self.imports[module.module_name] = _module_imports(module)
         modname = module.module_name
         for stmt in module.tree.body:
@@ -226,12 +144,12 @@ class Project:
                 self.functions[qual] = FunctionInfo(
                     qual, stmt.name, module, stmt, None,
                     _function_params(stmt),
-                    _annotation_for(annotations, stmt))
+                    _annotation_for(module.annotations, stmt))
             elif isinstance(stmt, ast.ClassDef):
                 cqual = f"{modname}.{stmt.name}"
                 info = ClassInfo(cqual, stmt.name, module, stmt,
                                  annotation=_annotation_for(
-                                     annotations, stmt))
+                                     module.annotations, stmt))
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
@@ -240,7 +158,7 @@ class Project:
                         self.functions[mqual] = FunctionInfo(
                             mqual, sub.name, module, sub, cqual,
                             _function_params(sub),
-                            _annotation_for(annotations, sub))
+                            _annotation_for(module.annotations, sub))
                 self.classes[cqual] = info
 
     def _link(self) -> None:

@@ -14,6 +14,7 @@ import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Finding, ModuleInfo, Rule, Severity
+from .flow.catalog import flow_rules
 from .tables import CrossTableRule
 
 #: Packages holding the simulation model proper: anything here runs
@@ -500,7 +501,8 @@ def _is_main_guard(test: ast.expr) -> bool:
 
 
 def default_rules() -> List[Rule]:
-    """The full shipped rule set, cross-table checker included."""
+    """The full shipped rule set: per-file rules, the cross-table
+    checker and the four flow rules."""
     return [
         NoWallclockRule(),
         MonotonicTimeRule(),
@@ -512,4 +514,5 @@ def default_rules() -> List[Rule]:
         FloatFreeCountersRule(),
         MainGuardRule(),
         CrossTableRule(),
+        *flow_rules(),
     ]

@@ -44,7 +44,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 STALE_LOCK_SECONDS = 600.0
 
 
-# repro-flow: guard -- holding the flock is what lock-discipline requires
+# repro-lint: guard -- holding the flock is what lock-discipline requires
 class FileLock:
     """Context manager: exclusive advisory lock on *path*.
 
@@ -106,7 +106,7 @@ class FileLock:
         self.release()
 
 
-# repro-flow: trusted-write -- this IS the sanctioned atomic write path
+# repro-lint: trusted-write -- this IS the sanctioned atomic write path
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     """Write *data* to *path* so readers never observe a partial file.
 
@@ -131,14 +131,14 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
-# repro-flow: trusted-write -- text front-end of the atomic write path
+# repro-lint: trusted-write -- text front-end of the atomic write path
 def atomic_write_text(path: Union[str, Path], text: str,
                       encoding: str = "utf-8") -> None:
     """Text-mode convenience wrapper over :func:`atomic_write_bytes`."""
     atomic_write_bytes(path, text.encode(encoding))
 
 
-# repro-flow: trusted-write -- O_APPEND single-write is torn-line safe
+# repro-lint: trusted-write -- O_APPEND single-write is torn-line safe
 def append_line(path: Union[str, Path], line: str,
                 encoding: str = "utf-8") -> None:
     """Append one newline-terminated record to a shared log file.

@@ -1,10 +1,12 @@
-"""Shared fixtures for the repro-lint test suite.
+"""Shared fixtures for the static-analysis test suite.
 
 ``lint_tree`` materializes fixture source files under a synthetic
 ``repro/<package>/`` tree (so package-scoped rules see the paths they
-key on) and runs the analyzer over it.  Fixture trees never contain
-``repro/isa/opcodes.py``, so the cross-table project rule stays inert
-unless a test builds a table tree on purpose.
+key on) and runs the analyzer — every rule family, flow rules included
+— over it.  Fixture trees never contain ``repro/isa/opcodes.py``, so
+the cross-table project rule stays inert unless a test builds a table
+tree on purpose.  ``src_report`` analyses the real ``src/`` once per
+test session; every self-gate test reads it.
 """
 
 import textwrap
@@ -13,17 +15,23 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Analyzer, default_rules
+from repro.analysis.flow import Engine, Project, build_catalog
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def write_tree(root, files):
+    for relpath, source in files.items():
+        target = root / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source))
 
 
 @pytest.fixture
 def lint_tree(tmp_path):
-    def run(files, select=None, rules=None):
-        for relpath, source in files.items():
-            target = tmp_path / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(textwrap.dedent(source))
-        analyzer = Analyzer(rules if rules is not None else default_rules())
-        return analyzer.run([tmp_path], select=select)
+    def run(files, select=None):
+        write_tree(tmp_path, files)
+        return Analyzer(default_rules()).run([tmp_path], select=select)
     return run
 
 
@@ -35,10 +43,27 @@ def lint_one(lint_tree):
     return run
 
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+@pytest.fixture
+def intra_findings(tmp_path):
+    """The flow engine's findings with call summaries off: the reference
+    proving a flow finding genuinely needs the cross-function step."""
+    def run(files):
+        write_tree(tmp_path, files)
+        project = Project.load([tmp_path])
+        catalog, _ = build_catalog(project)
+        engine = Engine(project, catalog, interprocedural=False)
+        engine.solve()
+        return engine.report()
+    return run
 
 
 @pytest.fixture
 def repo_src():
     assert (REPO_SRC / "repro" / "isa" / "opcodes.py").is_file()
     return REPO_SRC
+
+
+@pytest.fixture(scope="session")
+def src_report():
+    """The analyzer's report on the real ``src/`` tree."""
+    return Analyzer(default_rules()).run([REPO_SRC])

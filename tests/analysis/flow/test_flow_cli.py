@@ -1,10 +1,12 @@
-"""The ``repro-flow`` CLI and the shipped flow gate, run as tests.
+"""The shipped flow gate and the flow rules' CLI surface, run as tests.
 
-``repro-flow src/`` exiting 0 is an acceptance criterion of the tree
-(like ``repro-lint src/``), so the suite runs the same gate.  The CLI
-surface mirrors tier 1: ``--select`` rejects unknown rule names with
-exit code 2 *and* the list of available names, ``--format`` adds
-``sarif``, ``--list-rules`` prints the catalogue.
+The four ``flow-*`` rules ship in ``repro-lint``'s catalogue, so the
+flow gate is ``repro-lint`` over ``src/`` restricted to them.  These
+tests pin that the flow rules are clean on the tree and reachable
+through every CLI surface: ``--select`` (unknown names exit 2 with
+the list of available names), ``--list-rules`` and the JSON report.
+The gate tests read the session's one analysis of ``src/``
+(``src_report``); the others run ``main()`` on tiny trees.
 """
 
 import io
@@ -13,22 +15,36 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from repro.analysis.flow import FlowAnalyzer, default_flow_rules
-from repro.analysis.flow.cli import main
+from repro.analysis import Analyzer
+from repro.analysis.cli import main
+from repro.analysis.flow import flow_rules
+
+FLOW_IDS = sorted(rule.id for rule in flow_rules())
 
 
-def test_flow_gate_exits_zero_on_src(repo_src):
-    report = FlowAnalyzer().run([repo_src])
-    assert [f.as_dict() for f in report.unwaived
-            if f.severity.value == "error"] == []
+def test_flow_gate_exits_zero_on_src(src_report):
+    assert set(FLOW_IDS) <= set(src_report.rules_run)
+    flow = [f for f in src_report.findings if f.rule in FLOW_IDS]
+    assert [f.as_dict() for f in flow
+            if not f.waived and f.severity.value == "error"] == []
     # Waivers carry their justification or they would be findings.
-    assert all(f.waive_reason for f in report.waived)
+    assert all(f.waive_reason for f in flow if f.waived)
 
 
-def test_cli_gate_exits_zero_on_src(repo_src):
+def test_cli_gate_exits_zero_on_src(repo_src, src_report, monkeypatch):
+    # `repro-lint --select <flow rules> src/`, with the session's
+    # analysis of src/ standing in for a second one.
+    calls = []
+
+    def analyzed(self, paths, select=None):
+        calls.append((list(paths), sorted(select)))
+        return src_report
+
+    monkeypatch.setattr(Analyzer, "run", analyzed)
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = main([str(repo_src)])
+        code = main(["--select", ",".join(FLOW_IDS), str(repo_src)])
+    assert calls == [([repo_src], FLOW_IDS)]
     assert code == 0
     assert buffer.getvalue().strip().endswith("file(s) checked")
 
@@ -39,8 +55,8 @@ def test_cli_rejects_unknown_rule_listing_available(capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "unknown rule(s): no-such-flow-rule" in err
-    for rule in default_flow_rules():
-        assert rule.id in err
+    for rule_id in FLOW_IDS:
+        assert rule_id in err
 
 
 def test_cli_list_rules_names_every_flow_rule():
@@ -49,52 +65,27 @@ def test_cli_list_rules_names_every_flow_rule():
         code = main(["--list-rules"])
     assert code == 0
     listed = buffer.getvalue()
-    for rule in default_flow_rules():
-        assert rule.id in listed
+    assert len(FLOW_IDS) == 4
+    for rule_id in FLOW_IDS:
+        assert rule_id in listed
 
 
-def test_cli_select_restricts_rules(tmp_path, capsys):
+def test_cli_json_format_carries_schema_version(tmp_path):
     bad = tmp_path / "repro" / "experiments" / "mod.py"
     bad.parent.mkdir(parents=True)
     bad.write_text(
         "import time\n\n\n"
         "def build(name):\n"
         "    return canonical_digest(f'{name}:{time.time()}')\n")
-    assert main([str(tmp_path)]) == 1
-    assert "flow-cache-key-purity" in capsys.readouterr().out
-    # Selecting a different rule leaves the violation out of scope.
-    assert main(["--select", "flow-fork-safety", str(tmp_path)]) == 0
-
-
-def test_cli_sarif_format(repo_src):
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = main(["--format", "sarif", str(repo_src)])
-    assert code == 0
+        code = main(["--format", "json", "--select", ",".join(FLOW_IDS),
+                     str(tmp_path)])
+    assert code == 1
     payload = json.loads(buffer.getvalue())
-    assert payload["version"] == "2.1.0"
-    driver = payload["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "repro-flow"
-    listed = {rule["id"] for rule in driver["rules"]}
-    assert {rule.id for rule in default_flow_rules()} <= listed
-
-
-def test_cli_json_format_carries_schema_version(repo_src):
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(["--format", "json", str(repo_src)])
-    assert code == 0
-    payload = json.loads(buffer.getvalue())
-    assert payload["format"] == "repro-flow-v1"
+    assert payload["format"] == "repro-lint-v1"
     assert payload["schema_version"] == 2
-
-
-def test_cli_callgraph_mode(tmp_path, capsys):
-    mod = tmp_path / "repro" / "experiments" / "mod.py"
-    mod.parent.mkdir(parents=True)
-    mod.write_text("def a():\n    return b()\n\n\ndef b():\n"
-                   "    return 0\n")
-    assert main(["--callgraph", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "repro.experiments.mod.a -> repro.experiments.mod.b:2" \
-        in out
+    assert payload["rules_run"] == FLOW_IDS
+    assert payload["exit_code"] == 1
+    assert [f["rule"] for f in payload["findings"]] \
+        == ["flow-cache-key-purity"]

@@ -2,7 +2,9 @@
 
 Each positive case routes the taint through a helper function (or a
 callee's summary), so it is only visible to the interprocedural step:
-the same fixture run with ``interprocedural=False`` must stay clean.
+the same fixture run through the engine with ``interprocedural=False``
+must stay clean.  Every fixture runs through the full analyzer, so the
+per-file rules see it too and must stay quiet on it.
 """
 
 
@@ -31,25 +33,24 @@ CACHE_KEY_POSITIVE = {
 }
 
 
-def test_cache_key_purity_through_helper(flow_findings):
-    findings = flow_findings(CACHE_KEY_POSITIVE)
+def test_cache_key_purity_through_helper(lint_tree):
+    findings = lint_tree(CACHE_KEY_POSITIVE).unwaived
     assert [f.rule for f in findings] == ["flow-cache-key-purity"]
     assert findings[0].path == "repro/experiments/keys.py"
     assert "wallclock" in findings[0].message
 
 
-def test_cache_key_purity_needs_interprocedural(flow_findings):
-    assert flow_findings(CACHE_KEY_POSITIVE,
-                         interprocedural=False) == []
+def test_cache_key_purity_needs_interprocedural(intra_findings):
+    assert intra_findings(CACHE_KEY_POSITIVE) == []
 
 
-def test_cache_key_purity_sanitizer_clears(flow_findings):
+def test_cache_key_purity_sanitizer_clears(lint_tree):
     files = dict(CACHE_KEY_POSITIVE)
     files["repro/experiments/keys.py"] = """\
         from repro.experiments.helper import stamp
 
 
-        # repro-flow: sanitizer[wallclock] -- rounds to the sweep epoch
+        # repro-lint: sanitizer[wallclock] -- rounds to the sweep epoch
         def coarse(value):
             return round(value)
 
@@ -57,7 +58,7 @@ def test_cache_key_purity_sanitizer_clears(flow_findings):
         def build_key(name):
             return canonical_digest(f"{name}:{coarse(stamp())}")
     """
-    assert flow_findings(files) == []
+    assert lint_tree(files).unwaived == []
 
 
 # -- flow-lock-discipline -------------------------------------------------
@@ -75,8 +76,8 @@ LOCK_POSITIVE = {
 }
 
 
-def test_lock_discipline_through_helper(flow_findings):
-    findings = flow_findings(LOCK_POSITIVE)
+def test_lock_discipline_through_helper(lint_tree):
+    findings = lint_tree(LOCK_POSITIVE).unwaived
     assert [f.rule for f in findings] == ["flow-lock-discipline"]
     # Reported at the caller (where the store path enters), with the
     # via chain naming the helper that performs the raw write.
@@ -84,11 +85,11 @@ def test_lock_discipline_through_helper(flow_findings):
     assert "dump" in findings[0].message
 
 
-def test_lock_discipline_needs_interprocedural(flow_findings):
-    assert flow_findings(LOCK_POSITIVE, interprocedural=False) == []
+def test_lock_discipline_needs_interprocedural(intra_findings):
+    assert intra_findings(LOCK_POSITIVE) == []
 
 
-def test_lock_discipline_guarded_is_clean(flow_findings):
+def test_lock_discipline_guarded_is_clean(lint_tree):
     files = {
         "repro/experiments/store.py": """\
             class FileLock:
@@ -111,13 +112,13 @@ def test_lock_discipline_guarded_is_clean(flow_findings):
                     dump(cache_dir / "results.json", payload)
         """,
     }
-    assert flow_findings(files) == []
+    assert lint_tree(files).unwaived == []
 
 
-def test_lock_discipline_trusted_write_is_clean(flow_findings):
+def test_lock_discipline_trusted_write_is_clean(lint_tree):
     files = {
         "repro/experiments/store.py": """\
-            # repro-flow: trusted-write -- test double of the atomic writer
+            # repro-lint: trusted-write -- test double of the atomic writer
             def atomic_dump(path, payload):
                 path.write_text(payload)
 
@@ -126,7 +127,7 @@ def test_lock_discipline_trusted_write_is_clean(flow_findings):
                 atomic_dump(cache_dir / "results.json", payload)
         """,
     }
-    assert flow_findings(files) == []
+    assert lint_tree(files).unwaived == []
 
 
 # -- flow-fork-safety -----------------------------------------------------
@@ -151,18 +152,18 @@ FORK_POSITIVE = {
 }
 
 
-def test_fork_safety_through_helper(flow_findings):
-    findings = flow_findings(FORK_POSITIVE)
+def test_fork_safety_through_helper(lint_tree):
+    findings = lint_tree(FORK_POSITIVE).unwaived
     assert [f.rule for f in findings] == ["flow-fork-safety"]
     assert findings[0].line == 13
     assert "proclocal" in findings[0].message
 
 
-def test_fork_safety_needs_interprocedural(flow_findings):
-    assert flow_findings(FORK_POSITIVE, interprocedural=False) == []
+def test_fork_safety_needs_interprocedural(intra_findings):
+    assert intra_findings(FORK_POSITIVE) == []
 
 
-def test_fork_safety_plain_payload_is_clean(flow_findings):
+def test_fork_safety_plain_payload_is_clean(lint_tree):
     files = {
         "repro/experiments/fork.py": """\
             def make_spec(core):
@@ -174,7 +175,7 @@ def test_fork_safety_plain_payload_is_clean(flow_findings):
                 pool.submit(spec)
         """,
     }
-    assert flow_findings(files) == []
+    assert lint_tree(files).unwaived == []
 
 
 # -- flow-telemetry-purity ------------------------------------------------
@@ -199,19 +200,18 @@ TELEMETRY_POSITIVE = {
 }
 
 
-def test_telemetry_purity_through_method_summary(flow_findings):
-    findings = flow_findings(TELEMETRY_POSITIVE)
+def test_telemetry_purity_through_method_summary(lint_tree):
+    findings = lint_tree(TELEMETRY_POSITIVE).unwaived
     assert [f.rule for f in findings] == ["flow-telemetry-purity"]
     assert findings[0].line == 13
     assert "teldata" in findings[0].message
 
 
-def test_telemetry_purity_needs_interprocedural(flow_findings):
-    assert flow_findings(TELEMETRY_POSITIVE,
-                         interprocedural=False) == []
+def test_telemetry_purity_needs_interprocedural(intra_findings):
+    assert intra_findings(TELEMETRY_POSITIVE) == []
 
 
-def test_telemetry_purity_report_direction_is_clean(flow_findings):
+def test_telemetry_purity_report_direction_is_clean(lint_tree):
     # The allowed direction: telemetry data flowing into *report*
     # state (metrics is not a model package).
     files = {
@@ -230,13 +230,13 @@ def test_telemetry_purity_report_direction_is_clean(flow_findings):
                 view.absorb(sink.counters())
         """,
     }
-    assert flow_findings(files) == []
+    assert lint_tree(files).unwaived == []
 
 
-# -- waivers and annotations under the flow tag ---------------------------
+# -- waivers and annotations on flow rules -------------------------------
 
 
-def test_flow_waiver_suppresses_and_carries_reason(flow_tree):
+def test_flow_waiver_suppresses_and_carries_reason(lint_tree):
     files = dict(LOCK_POSITIVE)
     files["repro/experiments/store.py"] = """\
         def dump(path, payload):
@@ -244,66 +244,66 @@ def test_flow_waiver_suppresses_and_carries_reason(flow_tree):
 
 
         def persist(cache_dir, payload):
-            # repro-flow: waive[flow-lock-discipline] -- single writer by construction
+            # repro-lint: waive[flow-lock-discipline] -- single writer by construction
             dump(cache_dir / "results.json", payload)
     """
-    report = flow_tree(files)
+    report = lint_tree(files)
     assert report.unwaived == []
     assert [f.rule for f in report.waived] == ["flow-lock-discipline"]
     assert report.waived[0].waive_reason \
         == "single writer by construction"
 
 
-def test_flow_waiver_without_reason_is_bad(flow_findings):
-    findings = flow_findings({
+def test_flow_waiver_without_reason_is_bad(lint_tree):
+    findings = lint_tree({
         "repro/experiments/mod.py": """\
-            # repro-flow: waive[flow-lock-discipline]
+            # repro-lint: waive[flow-lock-discipline]
             x = 1
         """,
-    })
+    }).unwaived
     assert [f.rule for f in findings] == ["bad-waiver"]
 
 
-def test_unused_flow_waiver_warns(flow_findings):
-    findings = flow_findings({
+def test_unused_flow_waiver_warns(lint_tree):
+    findings = lint_tree({
         "repro/experiments/mod.py": """\
-            x = 1  # repro-flow: waive[flow-fork-safety] -- nothing here
+            x = 1  # repro-lint: waive[flow-fork-safety] -- nothing here
         """,
-    })
+    }).unwaived
     assert [(f.rule, f.severity.value) for f in findings] \
         == [("unused-waiver", "warning")]
 
 
-def test_annotation_without_reason_is_bad(flow_findings):
-    findings = flow_findings({
+def test_annotation_without_reason_is_bad(lint_tree):
+    findings = lint_tree({
         "repro/experiments/mod.py": """\
-            # repro-flow: sanitizer[wallclock]
+            # repro-lint: sanitizer[wallclock]
             def clean(value):
                 return value
         """,
-    })
+    }).unwaived
     assert [f.rule for f in findings] == ["bad-annotation"]
 
 
-def test_sanitizer_with_unknown_label_is_bad(flow_findings):
-    findings = flow_findings({
+def test_sanitizer_with_unknown_label_is_bad(lint_tree):
+    findings = lint_tree({
         "repro/experiments/mod.py": """\
-            # repro-flow: sanitizer[notalabel] -- oops
+            # repro-lint: sanitizer[notalabel] -- oops
             def clean(value):
                 return value
         """,
-    })
+    }).unwaived
     assert [f.rule for f in findings] == ["bad-annotation"]
     assert "unknown label" in findings[0].message
 
 
-def test_declared_sink_annotation_is_enforced(flow_findings):
+def test_declared_sink_annotation_is_enforced(lint_tree):
     files = {
         "repro/experiments/mod.py": """\
             import time
 
 
-            # repro-flow: sink[flow-cache-key-purity] -- addresses the shared store
+            # repro-lint: sink[flow-cache-key-purity] -- addresses the shared store
             def my_key(payload):
                 return str(payload)
 
@@ -312,6 +312,6 @@ def test_declared_sink_annotation_is_enforced(flow_findings):
                 return my_key(f"{name}:{time.time()}")
         """,
     }
-    findings = flow_findings(files)
+    findings = lint_tree(files).unwaived
     assert [f.rule for f in findings] == ["flow-cache-key-purity"]
     assert "my_key" in findings[0].message

@@ -1,6 +1,7 @@
-"""Waiver syntax: placement, file scope, hygiene (bad/unused)."""
+"""Comment grammar: waiver placement, file scope, hygiene (bad/unused),
+and one ``# repro-lint:`` tag shared by every rule family."""
 
-from repro.analysis.core import parse_waivers
+from repro.analysis.core import parse_comments
 
 
 def by_rule(report, rule_id):
@@ -81,7 +82,7 @@ def test_waiver_for_other_rule_does_not_apply(lint_tree):
 
 
 def test_parse_waivers_registration_points():
-    waivers = parse_waivers(
+    waivers, annotations = parse_comments(
         "x = 1  # repro-lint: waive[r1] -- trailing\n"
         "# repro-lint: waive[r2] -- alone\n"
         "y = 2\n"
@@ -91,3 +92,37 @@ def test_parse_waivers_registration_points():
     assert waivers.lookup(2, "r2") is None
     assert waivers.lookup(99, "r3") == "whole file"
     assert not waivers.errors
+    assert annotations == {}
+
+
+def test_one_tag_waives_per_file_and_flow_rules(lint_tree):
+    report = lint_tree({"repro/experiments/store.py": """\
+        def dump(path, payload):
+            path.write_text(payload)
+
+
+        def persist(cache_dir, payload):
+            # repro-lint: waive[flow-lock-discipline] -- single writer by construction
+            dump(cache_dir / "results.json", payload)
+
+
+        def key(x):
+            return hash(x)  # repro-lint: waive[no-builtin-hash] -- memo key, never persisted
+    """})
+    assert report.unwaived == []
+    assert sorted(f.rule for f in report.waived) \
+        == ["flow-lock-discipline", "no-builtin-hash"]
+
+
+def test_retired_flow_tag_is_a_finding(lint_tree):
+    # A leftover annotation under the old tag must not be dropped
+    # silently: losing a declared sink would loosen the check.
+    report = lint_tree({"repro/experiments/mod.py": """\
+        # repro-flow: sink[flow-cache-key-purity] -- addresses the shared store
+        def my_key(payload):
+            return str(payload)
+    """})
+    (bad,) = report.unwaived
+    assert (bad.rule, bad.line) == ("bad-annotation", 1)
+    assert "unknown comment tag" in bad.message
+    assert report.exit_code() == 1
