@@ -233,9 +233,11 @@ class Catalog:
 
 def build_catalog(project: Project) -> Tuple[Catalog, List[Finding]]:
     """Merge the ``# repro-lint:`` role annotations of *project* into
-    the static catalogue; misapplied roles become findings."""
+    the static catalogue; misapplied roles, and roles whose target line
+    is no ``def``/``class``/decorator line, become findings."""
     catalog = Catalog()
     findings: List[Finding] = []
+    attached: Set[Tuple[str, int]] = set()
 
     def bad(relpath: str, line: int, message: str) -> None:
         findings.append(Finding(relpath, line, "bad-annotation",
@@ -246,6 +248,7 @@ def build_catalog(project: Project) -> Tuple[Catalog, List[Finding]]:
         ann = fn.annotation
         if ann is None:
             continue
+        attached.add((fn.module.relpath, ann.line))
         if ann.role == "sanitizer":
             labels: Set[str] = set()
             for arg in ann.args:
@@ -289,9 +292,18 @@ def build_catalog(project: Project) -> Tuple[Catalog, List[Finding]]:
             catalog.guard_classes.add(cqual)
         if ann is None:
             continue
+        attached.add((info.module.relpath, ann.line))
         if ann.role == "guard":
             catalog.guard_classes.add(cqual)
         else:
             bad(info.module.relpath, ann.line,
                 f"{ann.role} annotates a function, not a class")
+
+    for relpath in sorted(project.modules):
+        for ann in project.modules[relpath].annotations.values():
+            if (relpath, ann.line) not in attached:
+                bad(relpath, ann.line,
+                    f"{ann.role} annotation attaches to nothing: its "
+                    f"target line is no top-level or method "
+                    f"def/class/decorator line")
     return catalog, findings

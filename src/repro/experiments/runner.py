@@ -4,9 +4,10 @@ Every table/figure experiment needs timing-simulation results for some
 (workload x configuration) pairs; many pairs are shared between
 experiments (e.g. the base run is the denominator of every speedup).
 :class:`ExperimentRunner` runs each pair once and caches the resulting
-:class:`SimStats` as JSON, keyed by workload, configuration name, window
-size and a hash of the workload source — so editing a workload
-invalidates its cached results automatically.
+:class:`SimStats` as JSON, keyed by workload, configuration name and
+content digest, window size and a hash of the workload source — so
+editing a workload or a configuration invalidates its cached results
+automatically.
 
 Pairs are independent simulations, so :meth:`ExperimentRunner.run_many`
 fans the uncached ones out over a ``multiprocessing`` pool (``jobs=1``
@@ -58,7 +59,7 @@ from ..metrics.stats import SimStats
 from ..redundancy.reusability import ReusabilityAnalyzer
 from ..telemetry.progress import PROGRESS_FILE, ProgressWriter
 from ..telemetry.spans import SpanRecorder, span_id, sweep_digest
-from ..uarch.config import MachineConfig
+from ..uarch.config import MachineConfig, config_digest
 from ..workloads import WorkloadSpec, all_workloads, get_workload
 from ..util.locking import FileLock, atomic_write_text
 
@@ -535,7 +536,10 @@ class ExperimentRunner:
         return hashlib.sha256(spec.source().encode()).hexdigest()[:12]
 
     def _key(self, spec: WorkloadSpec, config: MachineConfig) -> str:
+        # The name is for people reading the cache; the content digest
+        # keeps two configs that share a name from sharing an entry.
         return (f"v{CACHE_VERSION}-{spec.name}-{config.name}"
+                f"-{config_digest(config)}"
                 f"-i{self.max_instructions}-c{self.max_cycles}"
                 f"-{self._source_sha(spec)}")
 

@@ -18,8 +18,6 @@ digests — is deterministic and is what tests assert against.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import getpass
 import hashlib
 import json
@@ -31,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..uarch.config import config_digest
 from ..util.locking import atomic_write_text
 from ..util.serial import canonical_dumps
 from .spans import span_id
@@ -38,30 +37,6 @@ from .spans import span_id
 MANIFEST_FORMAT = "repro-manifest-v1"
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
-
-
-def _jsonable(value):
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {name: _jsonable(item)
-                for name, item in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def config_digest(config) -> str:
-    """Content digest of a :class:`MachineConfig` (or any dataclass).
-
-    Canonical JSON over every field (enums by value), hashed — two
-    configs with the same semantics digest identically regardless of
-    how they were constructed; any field change changes the digest.
-    """
-    payload = json.dumps(_jsonable(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 _GIT_DESCRIBE: Dict[str, Optional[str]] = {}

@@ -1,15 +1,20 @@
 """Machine configuration for the out-of-order timing simulator.
 
 Defaults reproduce Table 1 of the paper plus the VP/IR structure sizes from
-Section 4.1.3 (16K-entry VPT, 4K-entry RB, both 4-way set associative, four
-reads/writes per cycle).  The named constructors at the bottom build every
-configuration the evaluation section simulates (base, IR early/late, the
-four VP configurations x two predictors x two verification latencies).
+Section 4.1.3 (16K-entry VPT, 4K-entry RB, both 4-way set associative).  The
+paper's four VPT/RB reads/writes per cycle are not a modelled limit: every
+dispatched instruction may look up both.  The named constructors at the
+bottom build every configuration the evaluation section simulates (base, IR
+early/late, the four VP configurations x two predictors x two verification
+latencies).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -97,9 +102,6 @@ class VPConfig:
     verify_latency: int = 0  # 0 or 1 cycle (Sec 4.1.4)
     branch_policy: BranchPolicy = BranchPolicy.SPECULATIVE
     reexec_policy: ReexecPolicy = ReexecPolicy.MULTIPLE
-    predict_results: bool = True
-    predict_addresses: bool = True
-    ports: int = 4  # reads/writes per cycle = predictions per cycle
     # Order of the finite-context-method predictor (PredictorKind.FCM
     # and the FCM component of HYBRID_SELECT): how many recent values
     # form the context hash.  Two is the classic Sazeides & Smith
@@ -124,8 +126,6 @@ class IRConfig:
     # though the operand value is not yet readable.  Disabling it yields
     # the weaker S_n-style scheme of the original reuse paper.
     dependence_chaining: bool = True
-    reuse_addresses: bool = True
-    ports: int = 4  # reuses per cycle
     # Under LATE validation, may the reuse test chain through hit values
     # that have not been validated yet?  False (default) keeps the test
     # strictly non-speculative: deferring validation then also collapses
@@ -179,6 +179,25 @@ class MachineConfig:
 
     def with_name(self, name: str) -> "MachineConfig":
         return replace(self, name=name)
+
+
+def config_digest(config) -> str:
+    """Content digest of a :class:`MachineConfig` (or any config dataclass).
+
+    Canonical JSON over every field (enums by value), hashed — two
+    configs with the same semantics digest identically regardless of
+    how they were constructed; any field change changes the digest.
+    The result cache keys on it, and run manifests record it.
+    """
+    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
+                         default=_enum_value)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _enum_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"not a config value: {value!r}")
 
 
 # ---------------------------------------------------------------------------

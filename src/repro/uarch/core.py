@@ -579,10 +579,9 @@ class OutOfOrderCore:
     def _apply_value_prediction(self, op: InflightOp) -> None:
         meta, outcome = op.meta, op.outcome
         cycle = self.cycle
-        if self.config.vp.predict_results and meta.has_dest \
-                and outcome.result is not None and not meta.is_store:
-            predicted = self.vp.predict_result(meta.pc, outcome.result,
-                                               key=meta.vp_result_key)
+        if meta.has_dest and outcome.result is not None \
+                and not meta.is_store:
+            predicted = self.vp.predict(meta.vp_result_key, outcome.result)
             if predicted is not None:
                 op.predicted = True
                 op.predicted_value = predicted
@@ -592,9 +591,8 @@ class OutOfOrderCore:
                         "vp_predict", cycle, op.seq, meta.pc,
                         {"what": "result", "value": predicted})
         if meta.is_mem:
-            predicted_addr = self.vp.predict_address(meta.pc,
-                                                     outcome.mem_addr,
-                                                     key=meta.vp_addr_key)
+            predicted_addr = self.vp.predict(meta.vp_addr_key,
+                                             outcome.mem_addr)
             if predicted_addr is not None:
                 op.addr_predicted = True
                 op.predicted_addr = predicted_addr
@@ -1361,9 +1359,9 @@ class OutOfOrderCore:
             stats.squashed_instructions += 1
             if vp is not None:
                 if victim.predicted:
-                    vp.abort_result(victim.meta.pc)
+                    vp.abort(victim.meta.vp_result_key)
                 if victim.addr_predicted:
-                    vp.abort_address(victim.meta.pc)
+                    vp.abort(victim.meta.vp_addr_key)
             if victim.exec_count > 0:
                 stats.squashed_executed += 1
                 if self.ir is not None:
@@ -1514,9 +1512,9 @@ class OutOfOrderCore:
         meta, outcome = op.meta, op.outcome
         stats = self.stats
         predicted = op.predicted
-        if self.config.vp.predict_results and meta.has_dest \
-                and outcome.result is not None and not meta.is_store \
-                and meta.executes and not meta.is_control:
+        if meta.has_dest and outcome.result is not None \
+                and not meta.is_store and meta.executes \
+                and not meta.is_control:
             stats.vp_result_lookups += 1
             if predicted:
                 stats.vp_result_predicted += 1
@@ -1530,8 +1528,8 @@ class OutOfOrderCore:
                          "correct": predicted_value == outcome.result,
                          "predicted": predicted_value,
                          "actual": outcome.result})
-            self.vp.train_result(meta.pc, outcome.result,
-                                 op.predicted_value if predicted else None)
+            self.vp.train(meta.vp_result_key, outcome.result,
+                          op.predicted_value if predicted else None)
         if meta.is_mem:
             stats.vp_addr_lookups += 1
             addr_predicted = op.addr_predicted
@@ -1547,9 +1545,8 @@ class OutOfOrderCore:
                          "correct": predicted_addr == outcome.mem_addr,
                          "predicted": predicted_addr,
                          "actual": outcome.mem_addr})
-            self.vp.train_address(meta.pc, outcome.mem_addr,
-                                  op.predicted_addr if addr_predicted
-                                  else None)
+            self.vp.train(meta.vp_addr_key, outcome.mem_addr,
+                          op.predicted_addr if addr_predicted else None)
 
     def _verify_commit(self, op: InflightOp) -> None:
         meta = op.meta

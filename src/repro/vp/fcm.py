@@ -21,9 +21,10 @@ contract the sweep cache depends on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..uarch.config import VPConfig
+from .table import InFlight
 
 # Knuth/Murmur-style 32-bit mixing constants.
 _MIX_A = 0x9E3779B1
@@ -50,9 +51,6 @@ class FCMTable:
     incumbent's confidence has decayed to zero.
     """
 
-    KIND_RESULT = 0
-    KIND_ADDRESS = 1
-
     def __init__(self, config: VPConfig):
         self.config = config
         self.order = max(1, config.fcm_order)
@@ -67,11 +65,6 @@ class FCMTable:
         self.val_tags: List[Optional[int]] = [None] * size
         self.val_values: List[int] = [0] * size
         self.val_conf: List[int] = [0] * size
-
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        # Shared key layout of the VPT/stride tables: (pc>>2)<<1 | kind.
-        return ((pc >> 2) << 1) | kind
 
     # -- level 1 ----------------------------------------------------------------
 
@@ -162,59 +155,26 @@ class FCMPredictor:
     def __init__(self, config: VPConfig):
         self.config = config
         self.table = FCMTable(config)
-        # Predictions issued for instances that have not committed yet,
-        # per key: the k-th outstanding prediction chains the level-2
+        # The k-th outstanding prediction of a key chains the level-2
         # table k+1 links past the committed context (see peek()).
-        self.outstanding: Dict[int, int] = {}
+        self.outstanding = InFlight()
 
-    def _predict(self, key: int) -> Optional[int]:
-        value = self.table.peek(key, self.outstanding.get(key, 0) + 1)
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        ahead = self.outstanding.get(key, 0) + 1
+        value = self.table.peek(key, ahead)
         if value is not None:
-            self.outstanding[key] = self.outstanding.get(key, 0) + 1
+            self.outstanding[key] = ahead
         return value
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        if key is None:
-            key = self.table.key(pc, FCMTable.KIND_RESULT)
-        return self._predict(key)
-
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        if not self.config.predict_addresses:
-            return None
-        if key is None:
-            key = self.table.key(pc, FCMTable.KIND_ADDRESS)
-        return self._predict(key)
-
-    def _retire(self, key: int) -> None:
-        pending = self.outstanding.get(key, 0)
-        if pending > 1:
-            self.outstanding[key] = pending - 1
-        elif pending:
-            self.outstanding.pop(key, None)
-
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        key = self.table.key(pc, FCMTable.KIND_RESULT)
+    def train(self, key: int, actual: int,
+              predicted: Optional[int]) -> None:
         self.table.train(key, actual)
         if predicted is not None:
-            self._retire(key)
+            self.outstanding.retire(key)
 
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            key = self.table.key(pc, FCMTable.KIND_ADDRESS)
-            self.table.train(key, actual)
-            if predicted is not None:
-                self._retire(key)
-
-    def abort_result(self, pc: int) -> None:
+    def abort(self, key: int) -> None:
         """A predicted instance was squashed before committing."""
-        self._retire(self.table.key(pc, FCMTable.KIND_RESULT))
-
-    def abort_address(self, pc: int) -> None:
-        self._retire(self.table.key(pc, FCMTable.KIND_ADDRESS))
+        self.outstanding.retire(key)
 
     def telemetry_snapshot(self) -> dict:
         """End-of-run predictor facts for telemetry context blocks."""

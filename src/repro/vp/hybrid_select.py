@@ -27,10 +27,7 @@ from ..isa.opcodes import u32
 from ..uarch.config import VPConfig
 from .fcm import FCMTable
 from .stride import StrideTable
-from .table import ValuePredictionTable
-
-KIND_RESULT = 0
-KIND_ADDRESS = 1
+from .table import InFlight, ValuePredictionTable
 
 #: Fixed arbitration order; earlier wins selector-confidence ties.
 COMPONENTS = ("stride", "lvp", "fcm")
@@ -53,13 +50,8 @@ class HybridSelectPredictor:
         # In-flight predictions per key (any component): the stride
         # candidate for the k-th outstanding instance is
         # last + (k+1) * stride, exactly as the standalone predictor.
-        self.outstanding: Dict[int, int] = {}
+        self.outstanding = InFlight()
         self.component_predictions = {name: 0 for name in COMPONENTS}
-
-    @staticmethod
-    def key(pc: int, kind: int) -> int:
-        # Shared key layout of the VPT/stride/FCM tables.
-        return ((pc >> 2) << 1) | kind
 
     # -- component candidates (read-only peeks) ---------------------------------
 
@@ -72,19 +64,21 @@ class HybridSelectPredictor:
         instance), ``outstanding + 1`` at predict time.
         """
         threshold = self.config.confidence_threshold
-        entry = self.stride.find_key(key)
+        entry = self.stride.find(key)
         stride_candidate = None
         if entry is not None and entry.confidence >= threshold:
             stride_candidate = u32(entry.last_value
                                    + entry.stride * offset)
-        confident = self.lvp.confident_for_key(key)
+        confident = self.lvp.confident(key)
         lvp_candidate = confident[0].value if confident else None
         return stride_candidate, lvp_candidate, self.fcm.peek(key, offset)
 
-    def _predict(self, key: int) -> Optional[int]:
+    # -- the predictor protocol -----------------------------------------------
+
+    def predict(self, key: int, oracle: int) -> Optional[int]:
         offset = self.outstanding.get(key, 0) + 1
         candidates = self._candidates(key, offset)
-        if all(candidate is None for candidate in candidates):
+        if candidates.count(None) == len(COMPONENTS):
             return None
         confidences = self.selector.get(key)
         if confidences is None:
@@ -100,30 +94,11 @@ class HybridSelectPredictor:
                 or confidences[best_index] < self.config.confidence_threshold:
             return None
         self.component_predictions[COMPONENTS[best_index]] += 1
-        self.outstanding[key] = self.outstanding.get(key, 0) + 1
+        self.outstanding[key] = offset
         return candidates[best_index]
 
-    # -- prediction (dispatch time) ----------------------------------------------
-
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        if key is None:
-            key = self.key(pc, KIND_RESULT)
-        return self._predict(key)
-
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        if not self.config.predict_addresses:
-            return None
-        if key is None:
-            key = self.key(pc, KIND_ADDRESS)
-        return self._predict(key)
-
-    # -- training (commit time) -----------------------------------------------------
-
-    def _train(self, pc: int, kind: int, actual: int,
-               predicted: Optional[int]) -> None:
-        key = self.key(pc, kind)
+    def train(self, key: int, actual: int,
+              predicted: Optional[int]) -> None:
         # Score every component on what it would have predicted for the
         # committing instance (offset 1 past the last committed value).
         candidates = self._candidates(key, 1)
@@ -139,41 +114,17 @@ class HybridSelectPredictor:
             else:
                 confidences[index] = max(0, confidences[index] - 1)
         # Train the components themselves.
-        self.stride.update(pc, kind, actual)
-        self.lvp.update(pc, kind, actual,
+        self.stride.update(key, actual)
+        self.lvp.update(key, actual,
                         candidates[1] if candidates[1] is not None
                         and candidates[1] != actual else None)
         self.fcm.train(key, actual)
         if predicted is not None:
-            pending = self.outstanding.get(key, 0)
-            if pending > 1:
-                self.outstanding[key] = pending - 1
-            else:
-                self.outstanding.pop(key, None)
+            self.outstanding.retire(key)
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        self._train(pc, KIND_RESULT, actual, predicted)
-
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self._train(pc, KIND_ADDRESS, actual, predicted)
-
-    # -- squash notifications ---------------------------------------------------
-
-    def _abort(self, key: int) -> None:
-        pending = self.outstanding.get(key, 0)
-        if pending > 1:
-            self.outstanding[key] = pending - 1
-        elif pending:
-            self.outstanding.pop(key, None)
-
-    def abort_result(self, pc: int) -> None:
-        self._abort(self.key(pc, KIND_RESULT))
-
-    def abort_address(self, pc: int) -> None:
-        self._abort(self.key(pc, KIND_ADDRESS))
+    def abort(self, key: int) -> None:
+        """A predicted instance was squashed before committing."""
+        self.outstanding.retire(key)
 
     # -- observability ----------------------------------------------------------------
 

@@ -19,14 +19,24 @@ dispatch-time outcome — no separate oracle simulator is required.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from ..uarch.config import PredictorKind, VPConfig
-from .table import KIND_ADDRESS, KIND_RESULT, ValuePredictionTable
+from .table import KIND_ADDRESS, ValuePredictionTable
+
+_CONFIDENCE = attrgetter("confidence")
 
 
 class ValuePredictor:
-    """Front-end interface of the value predictor used by the core."""
+    """Front-end interface of the value predictor used by the core.
+
+    Every predictor kind has the same keyed protocol: ``predict(key,
+    oracle)`` at dispatch, ``train(key, actual, predicted)`` at commit,
+    ``abort(key)`` when a predicted instance is squashed, and
+    ``telemetry_snapshot()``.  *key* is a :func:`~repro.vp.table.vp_key`
+    (``StaticOp.vp_result_key`` or ``vp_addr_key``).
+    """
 
     def __init__(self, config: VPConfig):
         self.config = config
@@ -34,34 +44,17 @@ class ValuePredictor:
         self.result_lookups = 0
         self.addr_lookups = 0
 
-    # -- prediction (dispatch time) ----------------------------------------------
+    def predict(self, key: int, oracle: int) -> Optional[int]:
+        """Predict the value stored under *key*, or ``None``.
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None) -> Optional[int]:
-        """Predict the result of the instruction at *pc*, or ``None``.
-
-        *oracle* is the correct result along the current (possibly wrong)
-        path, used only for VP_Magic's oracle selection policy.  *key* is
-        the optional pre-computed table key (``StaticOp.vp_result_key``);
-        it saves re-deriving the key from the PC on the hot path.
+        *oracle* is the correct value along the current (possibly wrong)
+        path, used only for VP_Magic's oracle selection policy.
         """
-        self.result_lookups += 1
-        if key is None:
-            key = self.table.key(pc, KIND_RESULT)
-        return self._predict(key, oracle)
-
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None) -> Optional[int]:
-        """Predict the effective address of the memory op at *pc*."""
-        if not self.config.predict_addresses:
-            return None
-        self.addr_lookups += 1
-        if key is None:
-            key = self.table.key(pc, KIND_ADDRESS)
-        return self._predict(key, oracle)
-
-    def _predict(self, key: int, oracle: int) -> Optional[int]:
-        confident = self.table.confident_for_key(key)
+        if key & KIND_ADDRESS:
+            self.addr_lookups += 1
+        else:
+            self.result_lookups += 1
+        confident = self.table.confident(key)
         if not confident:
             return None
         if self.config.kind == PredictorKind.MAGIC:
@@ -69,28 +62,16 @@ class ValuePredictor:
                 if instance.value == oracle:
                     return instance.value
         # Most confident instance; MRU breaks ties (list is MRU-first).
-        best = max(confident, key=lambda inst: inst.confidence)
+        best = max(confident, key=_CONFIDENCE)
         return best.value
 
-    # -- training (commit time) -----------------------------------------------------
+    def train(self, key: int, actual: int,
+              predicted: Optional[int]) -> None:
+        self.table.update(key, actual, predicted)
 
-    def train_result(self, pc: int, actual: int,
-                     predicted: Optional[int]) -> None:
-        self.table.update(pc, KIND_RESULT, actual, predicted)
-
-    def train_address(self, pc: int, actual: int,
-                      predicted: Optional[int]) -> None:
-        if self.config.predict_addresses:
-            self.table.update(pc, KIND_ADDRESS, actual, predicted)
-
-    def abort_result(self, pc: int) -> None:
+    def abort(self, key: int) -> None:
         """Squash notification; the table-based predictors are stateless
         with respect to in-flight predictions."""
-
-    def abort_address(self, pc: int) -> None:
-        pass
-
-    # -- observability ----------------------------------------------------------------
 
     def telemetry_snapshot(self) -> dict:
         """End-of-run predictor facts for telemetry context blocks."""
@@ -116,24 +97,13 @@ class PerfectPredictor:
     def __init__(self, config: VPConfig):
         self.config = config
 
-    def predict_result(self, pc: int, oracle: int,
-                       key: Optional[int] = None):
+    def predict(self, key: int, oracle: int) -> int:
         return oracle
 
-    def predict_address(self, pc: int, oracle: int,
-                        key: Optional[int] = None):
-        return oracle if self.config.predict_addresses else None
-
-    def train_result(self, pc: int, actual: int, predicted) -> None:
+    def train(self, key: int, actual: int, predicted) -> None:
         pass
 
-    def train_address(self, pc: int, actual: int, predicted) -> None:
-        pass
-
-    def abort_result(self, pc: int) -> None:
-        pass
-
-    def abort_address(self, pc: int) -> None:
+    def abort(self, key: int) -> None:
         pass
 
     def telemetry_snapshot(self) -> dict:

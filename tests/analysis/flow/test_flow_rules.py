@@ -315,3 +315,22 @@ def test_declared_sink_annotation_is_enforced(lint_tree):
     findings = lint_tree(files).unwaived
     assert [f.rule for f in findings] == ["flow-cache-key-purity"]
     assert "my_key" in findings[0].message
+
+
+def test_misplaced_role_annotation_is_bad(lint_tree):
+    findings = lint_tree({
+        "repro/experiments/mod.py": """\
+            import time
+
+            # repro-lint: sink[flow-cache-key-purity] -- addresses the store
+
+            def my_key(payload):
+                return str(payload)
+
+
+            def build(name):
+                return my_key(f"{name}:{time.time()}")
+        """,
+    }).unwaived
+    assert [(f.rule, f.line) for f in findings] == [("bad-annotation", 3)]
+    assert "attaches to nothing" in findings[0].message

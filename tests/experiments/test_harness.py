@@ -4,6 +4,7 @@ These run tiny windows (2K instructions) on a subset of workloads so the
 whole file stays fast while covering every experiment module end to end.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -60,6 +61,21 @@ class TestRunnerCaching:
         base = runner.run("m88ksim", BASE)
         reuse = runner.run("m88ksim", IR_EARLY)
         assert reuse.config_name != base.config_name
+
+    def test_same_name_different_content_not_shared(self, runner):
+        """The cache keys on the configuration's content, not its name:
+        a smaller ROB under the default name is simulated, not served
+        the default machine's entry."""
+        base = runner.run("m88ksim", BASE)
+        small = dataclasses.replace(BASE, rob_size=8)
+        assert small.name == BASE.name
+        narrow = runner.run("m88ksim", small)
+        assert narrow is not base
+        assert narrow.cycles != base.cycles
+        fresh = ExperimentRunner(max_instructions=runner.max_instructions,
+                                 max_cycles=runner.max_cycles, quiet=True,
+                                 jobs=1)
+        assert narrow.cycles == fresh.run("m88ksim", small).cycles
 
     def test_redundancy_run(self, runner):
         analyzer = runner.run_redundancy("m88ksim", warmup=2_000,

@@ -12,6 +12,10 @@ import pytest
 from repro.uarch.config import PredictorKind, VPConfig
 from repro.vp.fcm import FCMPredictor, FCMTable, mix_context
 from repro.vp.predictors import make_predictor
+from repro.vp.table import KIND_RESULT, vp_key
+
+#: The result key of the instruction at 0x1000.
+RESULT = vp_key(0x1000, KIND_RESULT)
 
 
 def config(threshold=2, entries=64, order=2):
@@ -22,10 +26,11 @@ def config(threshold=2, entries=64, order=2):
 
 def feed(p, pc, values):
     """Predict+train a committed sequence with no in-flight overlap."""
+    key = vp_key(pc, KIND_RESULT)
     results = []
     for value in values:
-        results.append(p.predict_result(pc, value))
-        p.train_result(pc, value, results[-1])
+        results.append(p.predict(key, value))
+        p.train(key, value, results[-1])
     return results
 
 
@@ -58,7 +63,7 @@ class TestLearning:
 
     def test_no_prediction_without_context(self):
         p = FCMPredictor(config())
-        assert p.predict_result(0x1000, 1) is None
+        assert p.predict(RESULT, 1) is None
 
     def test_no_prediction_until_confident(self):
         results = feed(FCMPredictor(config()), 0x1000, [7, 9] * 3)
@@ -78,41 +83,40 @@ class TestLearning:
 class TestChainedLookahead:
     def test_peek_chains_through_own_predictions(self):
         table = FCMTable(config())
-        key = table.key(0x1000, FCMTable.KIND_RESULT)
         for value in [7, 9] * 8:
-            table.train(key, value)
+            table.train(RESULT, value)
         # Committed context ends ...7,9 -> next is 7, then 9, then 7.
-        assert table.peek(key, ahead=1) == 7
-        assert table.peek(key, ahead=2) == 9
-        assert table.peek(key, ahead=3) == 7
+        assert table.peek(RESULT, ahead=1) == 7
+        assert table.peek(RESULT, ahead=2) == 9
+        assert table.peek(RESULT, ahead=3) == 7
 
     def test_outstanding_predictions_advance_the_chain(self):
         p = FCMPredictor(config())
         for value in [7, 9] * 8:
-            p.train_result(0x1000, value, None)
+            p.train(RESULT, value, None)
         # Three dispatches before any commit: each must look one link
         # further ahead (the in-flight lag of a tight loop).
-        assert p.predict_result(0x1000, 0) == 7
-        assert p.predict_result(0x1000, 0) == 9
-        assert p.predict_result(0x1000, 0) == 7
+        assert p.predict(RESULT, 0) == 7
+        assert p.predict(RESULT, 0) == 9
+        assert p.predict(RESULT, 0) == 7
 
     def test_abort_rewinds_the_chain(self):
         p = FCMPredictor(config())
         for value in [7, 9] * 8:
-            p.train_result(0x1000, value, None)
-        assert p.predict_result(0x1000, 0) == 7
-        p.abort_result(0x1000)  # squashed before commit
-        assert p.predict_result(0x1000, 0) == 7
+            p.train(RESULT, value, None)
+        assert p.predict(RESULT, 0) == 7
+        p.abort(RESULT)  # squashed before commit
+        assert p.predict(RESULT, 0) == 7
 
     def test_train_retires_outstanding(self):
         p = FCMPredictor(config())
         for value in [7, 9] * 8:
-            p.train_result(0x1000, value, None)
-        first = p.predict_result(0x1000, 0)
-        p.train_result(0x1000, 7, first)
+            p.train(RESULT, value, None)
+        first = p.predict(RESULT, 0)
+        p.train(RESULT, 7, first)
         # The commit consumed the outstanding slot: next dispatch is
         # again one link past the (new) committed context.
-        assert p.predict_result(0x1000, 0) == 9
+        assert p.predict(RESULT, 0) == 9
 
 
 class TestStructure:
@@ -123,20 +127,12 @@ class TestStructure:
     def test_distinct_pcs_are_independent(self):
         p = FCMPredictor(config())
         feed(p, 0x1000, [7, 9] * 8)
-        assert p.predict_result(0x2000, 1) is None
+        assert p.predict(vp_key(0x2000, KIND_RESULT), 1) is None
 
     def test_order_one_behaves_like_last_value_context(self):
         p = FCMPredictor(config(order=1))
         results = feed(p, 0x1000, [7, 9] * 8)
         assert results[-1] in (7, 9)
-
-    def test_addresses_gated_by_config(self):
-        import dataclasses
-        cfg = dataclasses.replace(config(), predict_addresses=False)
-        p = FCMPredictor(cfg)
-        for value in [4, 8] * 8:
-            p.train_address(0x1000, value, None)
-        assert p.predict_address(0x1000, 0) is None
 
     def test_factory_dispatch(self):
         assert isinstance(make_predictor(config()), FCMPredictor)

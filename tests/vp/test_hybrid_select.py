@@ -11,6 +11,11 @@ import pytest
 from repro.uarch.config import PredictorKind, VPConfig
 from repro.vp.hybrid_select import COMPONENTS, HybridSelectPredictor
 from repro.vp.predictors import make_predictor
+from repro.vp.table import KIND_ADDRESS, KIND_RESULT, vp_key
+
+#: The table keys of the instruction at 0x1000.
+RESULT = vp_key(0x1000, KIND_RESULT)
+ADDRESS = vp_key(0x1000, KIND_ADDRESS)
 
 
 def config(threshold=2, entries=64):
@@ -20,10 +25,11 @@ def config(threshold=2, entries=64):
 
 def feed(p, pc, values):
     """Predict+train a committed sequence with no in-flight overlap."""
+    key = vp_key(pc, KIND_RESULT)
     results = []
     for value in values:
-        results.append(p.predict_result(pc, value))
-        p.train_result(pc, value, results[-1])
+        results.append(p.predict(key, value))
+        p.train(key, value, results[-1])
     return results
 
 
@@ -65,7 +71,7 @@ class TestSelectorState:
 
     def test_wrong_component_loses_confidence(self):
         p = HybridSelectPredictor(config())
-        key = p.key(0x1000, 0)
+        key = RESULT
         # Constant phase builds LVP confidence, then a stride phase
         # must drag the selector off the now-wrong LVP component.
         feed(p, 0x1000, [5] * 8)
@@ -78,13 +84,13 @@ class TestSelectorState:
     def test_outstanding_tracked_across_dispatches(self):
         p = HybridSelectPredictor(config())
         for value in range(0, 64, 4):
-            p.train_result(0x1000, value, None)
+            p.train(RESULT, value, None)
         # Back-to-back dispatches before any commit: stride candidates
         # must advance by one stride per in-flight instance.
-        assert p.predict_result(0x1000, 0) == 64
-        assert p.predict_result(0x1000, 0) == 68
-        p.abort_result(0x1000)
-        assert p.predict_result(0x1000, 0) == 68
+        assert p.predict(RESULT, 0) == 64
+        assert p.predict(RESULT, 0) == 68
+        p.abort(RESULT)
+        assert p.predict(RESULT, 0) == 68
 
     def test_telemetry_snapshot(self):
         p = HybridSelectPredictor(config())
@@ -101,17 +107,9 @@ class TestInterface:
     def test_factory_dispatch(self):
         assert isinstance(make_predictor(config()), HybridSelectPredictor)
 
-    def test_addresses_gated_by_config(self):
-        import dataclasses
-        cfg = dataclasses.replace(config(), predict_addresses=False)
-        p = HybridSelectPredictor(cfg)
-        for value in [4, 8] * 8:
-            p.train_address(0x1000, value, None)
-        assert p.predict_address(0x1000, 0) is None
-
     def test_address_stream_predicted(self):
         p = HybridSelectPredictor(config())
         for value in [0x100, 0x104] * 10:
-            predicted = p.predict_address(0x1000, value)
-            p.train_address(0x1000, value, predicted)
-        assert p.predict_address(0x1000, 0) in (0x100, 0x104)
+            predicted = p.predict(ADDRESS, value)
+            p.train(ADDRESS, value, predicted)
+        assert p.predict(ADDRESS, 0) in (0x100, 0x104)

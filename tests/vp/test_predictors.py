@@ -2,6 +2,11 @@
 
 from repro.uarch.config import PredictorKind, VPConfig
 from repro.vp.predictors import ValuePredictor
+from repro.vp.table import KIND_ADDRESS, KIND_RESULT, vp_key
+
+#: The table keys of the instruction at 0x1000.
+RESULT = vp_key(0x1000, KIND_RESULT)
+ADDRESS = vp_key(0x1000, KIND_ADDRESS)
 
 
 def magic(**kw):
@@ -18,55 +23,47 @@ def lvp(**kw):
 def train(predictor, pc, values, times=1):
     for _ in range(times):
         for value in values:
-            predictor.train_result(pc, value, None)
+            predictor.train(vp_key(pc, KIND_RESULT), value, None)
 
 
 class TestVPMagic:
     def test_no_prediction_when_cold(self):
-        assert magic().predict_result(0x1000, oracle=5) is None
+        assert magic().predict(RESULT, oracle=5) is None
 
     def test_oracle_selection_picks_correct_instance(self):
         predictor = magic()
         train(predictor, 0x1000, [10, 20, 30], times=3)
         # all three values confident; the oracle selects the right one
-        assert predictor.predict_result(0x1000, oracle=20) == 20
-        assert predictor.predict_result(0x1000, oracle=30) == 30
+        assert predictor.predict(RESULT, oracle=20) == 20
+        assert predictor.predict(RESULT, oracle=30) == 30
 
     def test_falls_back_to_most_confident(self):
         predictor = magic()
         train(predictor, 0x1000, [10], times=5)
         train(predictor, 0x1000, [20], times=2)
         # oracle value 99 is not stored: most confident (10) is predicted
-        assert predictor.predict_result(0x1000, oracle=99) == 10
+        assert predictor.predict(RESULT, oracle=99) == 10
 
     def test_unconfident_instances_not_used(self):
         predictor = magic()
-        predictor.train_result(0x1000, 10, None)  # confidence 1 < 2
-        assert predictor.predict_result(0x1000, oracle=10) is None
+        predictor.train(RESULT, 10, None)  # confidence 1 < 2
+        assert predictor.predict(RESULT, oracle=10) is None
 
     def test_four_instances_per_instruction(self):
         predictor = magic()
         train(predictor, 0x1000, [1, 2, 3, 4], times=3)
         for value in (1, 2, 3, 4):
-            assert predictor.predict_result(0x1000, oracle=value) == value
+            assert predictor.predict(RESULT, oracle=value) == value
         # a fifth value evicts the LRU instance
         train(predictor, 0x1000, [5], times=3)
-        assert predictor.predict_result(0x1000, oracle=5) == 5
+        assert predictor.predict(RESULT, oracle=5) == 5
 
     def test_address_prediction_independent(self):
         predictor = magic()
         for _ in range(3):
-            predictor.train_address(0x1000, 0x8000, None)
-        assert predictor.predict_address(0x1000, oracle=0x8000) == 0x8000
-        assert predictor.predict_result(0x1000, oracle=0x8000) is None
-
-    def test_address_prediction_can_be_disabled(self):
-        predictor = ValuePredictor(VPConfig(
-            enabled=True, kind=PredictorKind.MAGIC,
-            predict_addresses=False))
-        for _ in range(3):
-            predictor.train_address(0x1000, 0x8000, None)
-        assert predictor.predict_address(0x1000, oracle=0x8000) is None
+            predictor.train(ADDRESS, 0x8000, None)
+        assert predictor.predict(ADDRESS, oracle=0x8000) == 0x8000
+        assert predictor.predict(RESULT, oracle=0x8000) is None
 
 
 class TestVPLVP:
@@ -75,22 +72,22 @@ class TestVPLVP:
         train(predictor, 0x1000, [10], times=3)
         train(predictor, 0x1000, [20], times=1)
         # 20 replaced 10 (assoc 1); 20 is not yet confident
-        assert predictor.predict_result(0x1000, oracle=20) is None
+        assert predictor.predict(RESULT, oracle=20) is None
         train(predictor, 0x1000, [20], times=1)
-        assert predictor.predict_result(0x1000, oracle=20) == 20
+        assert predictor.predict(RESULT, oracle=20) == 20
 
     def test_no_oracle_advantage(self):
         """LVP predicts the last value even when the oracle differs."""
         predictor = lvp()
         train(predictor, 0x1000, [10], times=3)
-        assert predictor.predict_result(0x1000, oracle=77) == 10
+        assert predictor.predict(RESULT, oracle=77) == 10
 
     def test_alternating_values_never_confident(self):
         predictor = lvp()
         for _ in range(8):
-            predictor.train_result(0x1000, 1, None)
-            predictor.train_result(0x1000, 2, None)
-        assert predictor.predict_result(0x1000, oracle=1) is None
+            predictor.train(RESULT, 1, None)
+            predictor.train(RESULT, 2, None)
+        assert predictor.predict(RESULT, oracle=1) is None
 
 
 class TestPerfectPredictor:
@@ -104,17 +101,13 @@ class TestPerfectPredictor:
 
     def test_always_predicts_oracle(self):
         predictor = self._make()
-        assert predictor.predict_result(0x1000, 42) == 42
-        assert predictor.predict_address(0x1000, 0x8000) == 0x8000
-
-    def test_respects_address_disable(self):
-        predictor = self._make(predict_addresses=False)
-        assert predictor.predict_address(0x1000, 0x8000) is None
+        assert predictor.predict(RESULT, 42) == 42
+        assert predictor.predict(ADDRESS, 0x8000) == 0x8000
 
     def test_training_and_abort_are_noops(self):
         predictor = self._make()
-        predictor.train_result(0x1000, 1, 2)
-        predictor.abort_result(0x1000)
+        predictor.train(RESULT, 1, 2)
+        predictor.abort(RESULT)
 
     def test_bounds_realistic_predictors(self):
         """VP_Perfect is a true upper bound on any predictor's cycles."""

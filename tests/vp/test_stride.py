@@ -14,6 +14,11 @@ from repro.uarch.config import PredictorKind, VPConfig, base_config, vp_config
 from repro.uarch.core import OutOfOrderCore
 from repro.vp.predictors import ValuePredictor, make_predictor
 from repro.vp.stride import StridePredictor
+from repro.vp.table import KIND_ADDRESS, KIND_RESULT, vp_key
+
+#: The table keys of the instruction at 0x1000.
+RESULT = vp_key(0x1000, KIND_RESULT)
+ADDRESS = vp_key(0x1000, KIND_ADDRESS)
 
 
 def predictor(threshold=2, assoc=1, entries=64):
@@ -25,10 +30,11 @@ def predictor(threshold=2, assoc=1, entries=64):
 
 def feed(p, pc, values):
     """Predict+train a committed sequence with no in-flight overlap."""
+    key = vp_key(pc, KIND_RESULT)
     results = []
     for value in values:
-        results.append(p.predict_result(pc, value))
-        p.train_result(pc, value, results[-1])
+        results.append(p.predict(key, value))
+        p.train(key, value, results[-1])
     return results
 
 
@@ -55,10 +61,10 @@ class TestLearning:
         p = predictor()
         feed(p, 0x1000, [4, 8, 12, 16, 20])
         # one irregular value, then the stride resumes
-        p.train_result(0x1000, 100, None)
-        p.train_result(0x1000, 104, None)
-        p.train_result(0x1000, 108, None)
-        assert p.predict_result(0x1000, 112) == 112
+        p.train(RESULT, 100, None)
+        p.train(RESULT, 104, None)
+        p.train(RESULT, 108, None)
+        assert p.predict(RESULT, 112) == 112
 
     def test_stride_change_relearned(self):
         p = predictor()
@@ -78,26 +84,26 @@ class TestOutstandingTracking:
         p = predictor()
         feed(p, 0x1000, [4, 8, 12, 16, 20])
         # three predictions before any of them commits
-        assert p.predict_result(0x1000, 0) == 24
-        assert p.predict_result(0x1000, 0) == 28
-        assert p.predict_result(0x1000, 0) == 32
+        assert p.predict(RESULT, 0) == 24
+        assert p.predict(RESULT, 0) == 28
+        assert p.predict(RESULT, 0) == 32
 
     def test_commits_rebalance(self):
         p = predictor()
         feed(p, 0x1000, [4, 8, 12, 16, 20])
-        first = p.predict_result(0x1000, 0)
-        p.train_result(0x1000, 24, first)
-        assert p.predict_result(0x1000, 0) == 28
+        first = p.predict(RESULT, 0)
+        p.train(RESULT, 24, first)
+        assert p.predict(RESULT, 0) == 28
 
     def test_abort_rolls_back(self):
         p = predictor()
         feed(p, 0x1000, [4, 8, 12, 16, 20])
-        p.predict_result(0x1000, 0)  # wrong-path instance
-        p.abort_result(0x1000)
-        assert p.predict_result(0x1000, 0) == 24
+        p.predict(RESULT, 0)  # wrong-path instance
+        p.abort(RESULT)
+        assert p.predict(RESULT, 0) == 24
 
     def test_untrained_abort_is_noop(self):
-        predictor().abort_result(0x9999)  # must not raise
+        predictor().abort(vp_key(0x9999, KIND_RESULT))  # must not raise
 
 
 class TestFactory:
@@ -109,8 +115,8 @@ class TestFactory:
 
     def test_table_predictors_have_abort_interface(self):
         vp = ValuePredictor(VPConfig(enabled=True))
-        vp.abort_result(0x1000)
-        vp.abort_address(0x1000)
+        vp.abort(RESULT)
+        vp.abort(ADDRESS)
 
 
 class TestEndToEnd:
