@@ -50,7 +50,7 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..functional.checkpoint import CheckpointStore
 from ..functional.simulator import FunctionalSimulator
@@ -96,7 +96,6 @@ class ExperimentRunner:
                  checkpoint_dir: Optional[Path] = None,
                  use_checkpoints: bool = True,
                  manifests: bool = True,
-                 manifest_dir: Optional[Path] = None,
                  telemetry_dir: Optional[Path] = None,
                  telemetry_interval: Optional[int] = None,
                  tracing: Optional[bool] = None):
@@ -108,15 +107,14 @@ class ExperimentRunner:
         self.jobs = jobs
         self.mp_start_method = mp_start_method
         # Run manifests (repro.telemetry.manifest): provenance records
-        # for every simulated pair and every sweep.  They live in a
-        # subdirectory of the result cache — the determinism contract
-        # covers the top-level *.json result bytes only, and manifests
-        # carry wallclock/host facts that legitimately differ between
+        # for every simulated pair and every sweep.  They live in
+        # <cache>/manifests — the determinism contract covers the
+        # top-level *.json result bytes only, and manifests carry
+        # wallclock/host facts that legitimately differ between
         # byte-identical sweeps.
-        if manifest_dir is None and manifests and self.cache_dir is not None:
-            manifest_dir = self.cache_dir / "manifests"
-        self.manifest_dir = Path(manifest_dir) if manifests and manifest_dir \
-            else None
+        self.manifest_dir = (self.cache_dir / "manifests"
+                             if manifests and self.cache_dir is not None
+                             else None)
         # Optional per-run interval telemetry: uncached runs attach a
         # TelemetrySink (interval collector only; no event ring buffer)
         # and write <cache key>.jsonl here.  Cache keys are unchanged, so
@@ -155,6 +153,29 @@ class ExperimentRunner:
             else None)
         self._memory_cache: Dict[str, SimStats] = {}
         self._program_cache: Dict[str, Program] = {}
+
+    def _settings(self) -> Dict[str, Any]:
+        """Constructor arguments that rebuild this runner's settings.
+
+        Pool workers and :mod:`.sensitivity`'s per-window runners start
+        from these and override only what differs, so no setting (such
+        as ``verify`` or the telemetry directory) is lost on the way.
+        """
+        return {
+            "max_instructions": self.max_instructions,
+            "max_cycles": self.max_cycles,
+            "cache_dir": self.cache_dir,
+            "verify": self.verify,
+            "quiet": self.quiet,
+            "jobs": self.jobs,
+            "mp_start_method": self.mp_start_method,
+            "checkpoint_dir": self.checkpoint_dir,
+            "use_checkpoints": self.use_checkpoints,
+            "manifests": self.manifest_dir is not None,
+            "telemetry_dir": self.telemetry_dir,
+            "telemetry_interval": self.telemetry_interval,
+            "tracing": self.tracing,
+        }
 
     # -- timing runs ------------------------------------------------------------
 
@@ -238,13 +259,24 @@ class ExperimentRunner:
         Returns ``{(workload, config.name): SimStats}`` for every input
         pair.  Duplicates are deduplicated by cache key; already-cached
         pairs never reach the pool.  With ``jobs=1`` (or one pending
-        pair) this is exactly the serial path.
+        pair) this is exactly the serial path.  Two configs that share
+        a name but differ in content would share a result key, so they
+        raise :class:`ValueError` before anything is simulated.
         """
         pairs = list(pairs)
         jobs = self._effective_jobs(jobs)
         sweep_started = time.perf_counter()
         unique: Dict[str, Pair] = {}
+        digests: Dict[Tuple[str, str], str] = {}
         for workload, config in pairs:
+            digest = config_digest(config)
+            first = digests.setdefault((workload, config.name), digest)
+            if first != digest:
+                raise ValueError(
+                    f"run_many: workload {workload!r} has two configs "
+                    f"named {config.name!r} with different content "
+                    f"(config_digest {first} and {digest}); results are "
+                    f"keyed by (workload, config name), so rename one")
             key = self._key(get_workload(workload), config)
             unique.setdefault(key, (workload, config))
 
@@ -277,21 +309,8 @@ class ExperimentRunner:
             return results
 
         ctx = multiprocessing.get_context(self.mp_start_method)
-        settings = {
-            "max_instructions": self.max_instructions,
-            "max_cycles": self.max_cycles,
-            "cache_dir": self.cache_dir,
-            "verify": self.verify,
-            "quiet": True,  # children are silent; the parent narrates
-            "jobs": 1,
-            "checkpoint_dir": self.checkpoint_dir,
-            "use_checkpoints": self.use_checkpoints,
-            "manifests": self.manifest_dir is not None,
-            "manifest_dir": self.manifest_dir,
-            "telemetry_dir": self.telemetry_dir,
-            "telemetry_interval": self.telemetry_interval,
-            "tracing": self.tracing,
-        }
+        # Children are silent (the parent narrates) and serial.
+        settings = {**self._settings(), "quiet": True, "jobs": 1}
         total, done = len(pending), 0
         started = time.perf_counter()
         with ctx.Pool(processes=min(jobs, total),

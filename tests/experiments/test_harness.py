@@ -5,6 +5,7 @@ whole file stays fast while covering every experiment module end to end.
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -28,6 +29,8 @@ from repro.experiments import (
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
 from repro.experiments.configs import BASE, IR_EARLY, vp_magic
 from repro.metrics.report import Report
+from repro.telemetry.spans import load_spans
+from repro.uarch.config import config_digest
 from repro.workloads import workload_names
 
 
@@ -76,6 +79,34 @@ class TestRunnerCaching:
                                  max_cycles=runner.max_cycles, quiet=True,
                                  jobs=1)
         assert narrow.cycles == fresh.run("m88ksim", small).cycles
+
+    def test_run_many_rejects_same_name_different_content(self, tmp_path):
+        """run_many keys its results by (workload, config name), so two
+        different configs under one name would lose one result: it
+        raises, naming both digests, before simulating anything."""
+        small = dataclasses.replace(BASE, rob_size=8)
+        runner = ExperimentRunner(max_instructions=1_000, max_cycles=60_000,
+                                  cache_dir=tmp_path, quiet=True, jobs=1)
+        with pytest.raises(ValueError) as excinfo:
+            runner.run_many([("m88ksim", BASE), ("m88ksim", small)])
+        message = str(excinfo.value)
+        for part in ("m88ksim", BASE.name, config_digest(BASE),
+                     config_digest(small)):
+            assert part in message
+        assert not list(tmp_path.glob("*.json"))
+        assert not runner._memory_cache
+
+    def test_settings_cover_every_constructor_argument(self, tmp_path):
+        runner = ExperimentRunner(
+            max_instructions=1_234, max_cycles=5_678, cache_dir=tmp_path,
+            verify=True, quiet=True, jobs=3, mp_start_method="spawn",
+            checkpoint_dir=tmp_path / "warm", use_checkpoints=False,
+            manifests=False, telemetry_dir=tmp_path / "tel",
+            telemetry_interval=77, tracing=False)
+        settings = runner._settings()
+        parameters = set(inspect.signature(ExperimentRunner).parameters)
+        assert set(settings) == parameters
+        assert ExperimentRunner(**settings)._settings() == settings
 
     def test_redundancy_run(self, runner):
         analyzer = runner.run_redundancy("m88ksim", warmup=2_000,
@@ -181,6 +212,39 @@ class TestAblations:
         assert len(report.rows) == 1
         drift = report.rows[0][-1]
         assert drift >= 0.0
+
+    def test_sensitivity_runners_keep_parent_settings(self, tmp_path,
+                                                      monkeypatch):
+        """The per-window runners inherit verify, checkpoint, manifest
+        and telemetry settings from the runner they are given."""
+        from repro.experiments import sensitivity
+        from repro.uarch import core as core_module
+
+        verified = []
+
+        class SpyCore(core_module.OutOfOrderCore):
+            def __init__(self, config, *args, **kwargs):
+                verified.append(config.verify_commits)
+                super().__init__(config, *args, **kwargs)
+
+        monkeypatch.setattr(core_module, "OutOfOrderCore", SpyCore)
+        telemetry = tmp_path / "telemetry"
+        parent = ExperimentRunner(
+            max_instructions=2_000, max_cycles=80_000,
+            cache_dir=tmp_path / "results", verify=True, quiet=True,
+            jobs=1, use_checkpoints=False, manifests=False,
+            telemetry_dir=telemetry)
+        sensitivity.run(parent, windows=(1_000, 2_000),
+                        workloads=["m88ksim"])
+        assert verified and all(verified)
+        assert not (tmp_path / "results" / "manifests").exists()
+        assert not (tmp_path / "results" / "checkpoints").exists()
+        series = [p.name for p in telemetry.glob("*.jsonl")]
+        spans = load_spans(telemetry / "spans.jsonl")
+        jobs = [span["key"] for span in spans if span["kind"] == "job"]
+        for window in (1_000, 2_000):
+            assert sum(f"-i{window}-" in name for name in series) == 3
+            assert sum(f"-i{window}-" in key for key in jobs) == 3
 
     def test_sensitivity_in_cli(self):
         from repro.experiments.cli import EXPERIMENTS
